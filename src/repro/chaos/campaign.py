@@ -516,15 +516,8 @@ class _ChaosRun:
     # -- invariants and reporting ------------------------------------------
 
     def _check_invariants(self, outcome):
-        base = self.enclave.base
-        for fault in self.kernel.fault_log:
-            if (fault.vaddr != base or fault.write or fault.exec_
-                    or fault.present):
-                self.violations.append(
-                    f"unmasked fault leaked to the OS: {fault.vaddr:#x} "
-                    f"(write={fault.write}, present={fault.present})"
-                )
-                break
+        self.violations.extend(
+            self.kernel.unmasked_fault_violations({self.enclave.base}))
         if self.injector.silent_consumption:
             pages = [hex(v) for v in self.injector.silent_consumption]
             self.violations.append(

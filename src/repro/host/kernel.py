@@ -207,6 +207,21 @@ class HostKernel:
         # repro: allow[trust-boundary] response register of the upcall
         return runtime._balloon_response
 
+    # -- safety invariants ---------------------------------------------------
+
+    def unmasked_fault_violations(self, bases):
+        """Every fault the OS observed carries an enclave base address
+        from ``bases`` and no access-type bits (§5.1.2).  Reports the
+        first leak only."""
+        for fault in self.fault_log:
+            if (fault.vaddr not in bases or fault.write or fault.exec_
+                    or fault.present):
+                return [
+                    f"unmasked fault leaked to the OS: {fault.vaddr:#x} "
+                    f"(write={fault.write}, present={fault.present})"
+                ]
+        return []
+
     # -- convenience ---------------------------------------------------------
 
     def raise_pf(self, vaddr, **kwargs):

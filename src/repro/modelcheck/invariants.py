@@ -42,29 +42,11 @@ def dead_enclave(world):
 
 
 def masked_faults(world):
-    base = world.enclave.base
-    out = []
-    for fault in world.kernel.fault_log:
-        if (fault.vaddr != base or fault.write or fault.exec_
-                or fault.present):
-            out.append(
-                f"unmasked fault leaked to the OS: {fault.vaddr:#x} "
-                f"(write={fault.write}, present={fault.present})")
-            break
-    return out
+    return world.kernel.unmasked_fault_violations({world.enclave.base})
 
 
 def epc_parity(world):
-    epc = world.kernel.epc
-    backed = sum(
-        len(enclave.backed)
-        for enclave in world.kernel.instr.enclaves.values())
-    if epc.free_pages + backed != epc.total_pages:
-        return [
-            f"EPC parity broken: {epc.free_pages} free + {backed} "
-            f"backed != {epc.total_pages} total"
-        ]
-    return []
+    return world.kernel.instr.epc_parity_violations()
 
 
 def lifecycle_protocol(world):

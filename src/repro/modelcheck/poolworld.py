@@ -1,615 +1,297 @@
-"""The pool world: two tenants, two replicas each, one shared EPC.
+"""The pool world: a real two-tenant :class:`EnclaveService`, explored.
 
 The single-enclave model (:mod:`repro.modelcheck.model`) checks the
 paging protocol; this world checks the *service* layer above it — the
 tenant-pool failover, live-churn, and suspend/resume machinery of
-:mod:`repro.service` — on the smallest system where those behaviours
-exist: two tenants of two replica enclaves each, supervised by the
-real :class:`~repro.recovery.supervisor.RecoverySupervisor` on one
-shared kernel.
+:mod:`repro.service` — by driving the shipped
+:class:`~repro.service.router.EnclaveService` itself.  The world is
+two tenants of two replica enclaves each on one shared 256-page EPC,
+sized only through :class:`~repro.service.tenant.TenantSpec` and
+:class:`~repro.service.router.ServiceConfig` fields.
 
-Actions are the service's fault family shrunk to determinism: a
-request against either tenant (served by the elected primary, failed
-over to the sibling, or structurally shed when the whole pool is
-down), an AEX storm against tenant 0's primary, suspending and
-resuming the lowest eligible replica (§5.2.1 whole-enclave swap),
-forging a suspended replica's suspend-set blob (resume must reject
-it), and retiring / re-admitting tenant 1 (live churn with EPC-parity
-teardown).  Invariants assert what the service promises: request
-accounting balances, EPC frames are never lost or double-owned,
-faults leak only masked addresses, and a pool with no healthy replica
-sheds instead of crashing.
+Every action is a call into the router's own code paths:
 
+* ``req:T`` — one request for tenant T through admission
+  (:meth:`EnclaveService.submit`) and dispatch: served by the elected
+  primary, failed over to the sibling, or shed structured;
+* ``storm``, ``tamper``, ``suspend``, ``resume`` — service fault
+  events (:class:`~repro.service.chaos.ServiceFaultEvent`) handed to
+  :meth:`EnclaveService.apply_fault`: an AEX storm and a forged
+  swapped-out heap blob against tenant 0's primary, and suspending /
+  resuming the lowest eligible replica (§5.2.1 whole-enclave swap);
+* ``retire`` / ``arrive`` — live churn of tenant 1 through the
+  service's churn methods;
+* ``forge`` — the one host-only act the fault plan cannot express:
+  overwrite the last blob a suspended replica's resume will restore.
+  Resume must fail stop on it.
+
+The invariants are the service's own
+(:meth:`EnclaveService.check_invariants`), checked at every state, plus
+one the world checks across each action: a forged blob (``forge`` or
+``tamper``) never leaves the store while its enclave keeps running.
 Exhaustive at depth 3 this covers every interleaving of failover
 around suspension, churn, and integrity aborts — the schedules the
-seeded chaos runs sample but cannot enumerate.
+seeded service runs sample but cannot enumerate.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
-from dataclasses import dataclass
 
-from repro.errors import (
-    EnclaveCrashed,
-    EnclaveTerminated,
-    IntegrityAbort,
-    IntegrityError,
-    Quarantined,
-    SgxError,
-)
-from repro.host.kernel import HostKernel
-from repro.recovery.program import EnclaveProgram
+from repro.errors import ReproError, SgxError
 from repro.recovery.state import canonical_state
-from repro.recovery.supervisor import (
-    RUNNING,
-    RecoverySupervisor,
-    RestartPolicy,
+from repro.recovery.supervisor import RUNNING, RestartPolicy
+from repro.service import (
+    EnclaveService,
+    ServiceConfig,
+    ServiceFaultEvent,
+    ServiceFaultKind,
+    ServiceFaultPlan,
+    TenantSpec,
 )
-from repro.runtime.libos import EnclaveLayout
-from repro.sgx.params import PAGE_SIZE
 
 #: Policy names this module implements (the explorer's dispatch key).
 WORLDS = ("pool",)
 
-N_TENANTS = 2
-N_REPLICAS = 2
+#: Tenant names; tenant 0 is the fault victim, tenant 1 churns.
+TENANTS = ("t0", "t1")
 
-#: Heap pages each request cycles over (two touches per request walk
-#: the pool, so every page is exercised within two requests).
-POOL_PAGES = 3
-
-#: Shared EPC: four tiny enclaves fit with headroom — pool failover,
-#: not paging pressure, is what this world explores (the single-
-#: enclave model owns the pressure story).
-EPC_PAGES = 96
-
-#: Address-space stride between replica enclaves (the service's
-#: multi-enclave grid, shrunk).
-STRIDE = 0x10_0000_0000
+#: Shared EPC: four small replicas fit with room to recover — pool
+#: failover, not EPC exhaustion, is what this world explores.
+EPC_PAGES = 256
 
 #: Interrupt/resume rounds one ``storm`` action fires (§3.2).
 STORM_ROUNDS = 2
 
-#: Free frames required before ``arrive`` re-admits tenant 1 (a tiny
-#: replica's eager footprint is ~8 frames; two replicas plus margin).
-ARRIVE_HEADROOM = 24
-
-#: One restart per replica before quarantine: the smallest budget
-#: where depth-3 traces can reach both a recovery *and* a quarantine-
-#: driven failover.
+#: One restart per replica before quarantine: two aborts of one
+#: replica reach both a recovery and a quarantine-driven failover.
 MAX_RESTARTS = 1
 
+#: MAC the host-only ``forge`` act writes over a sealed blob.
+FORGED_MAC = "forged-by-model"
 
-def _tiny_config():
-    """The model's tiny rate_limit sizing over the shared EPC."""
-    from repro.core.config import SystemConfig
 
-    return SystemConfig.for_policy(
-        "rate_limit", max_faults_per_progress=8, grace_faults=16,
-        enclave_managed_budget=18,
-        epc_pages=EPC_PAGES, quota_pages=18,
-        runtime_pages=2, code_pages=2, data_pages=2, heap_pages=8,
+def _spec(name):
+    """A tiny paging tenant: a 16-page quota under 16-op requests, so
+    one request already swaps heap pages out (a ``tamper`` target).
+    The breaker tolerates two aborts, so the quarantine ladder's
+    failover is not hidden behind an open breaker."""
+    return TenantSpec(
+        name=name, quota_pages=16, ops_per_request=16, replicas=2,
+        breaker_trip_after=3,
     )
 
 
-def _no_warmup(runtime):
-    """rate_limit needs no pre-begin warm-up (picklable no-op)."""
-
-
-@dataclass
-class ReplicaSlot:
-    """Model-side bookkeeping for one replica of one tenant."""
-
-    tenant: int
-    index: int
-    name: str
-    suspended: bool = False
-    #: A suspend-set blob was forged while this replica was suspended;
-    #: its resume must fail integrity verification.
-    tampered: bool = False
-
-
 class PoolWorld:
-    """One explored state of the two-tenant pool service."""
+    """One explored state: a booted service plus the violations seen
+    applying actions to it."""
 
     policy_name = "pool"
+    outcome = "running"
+    reason = ""
 
     def __init__(self):
-        self.kernel = HostKernel(epc_pages=EPC_PAGES)
-        self.recovery = RecoverySupervisor(
-            self.kernel,
-            restart_policy=RestartPolicy(max_restarts=MAX_RESTARTS),
-        )
-        self.engines = {}
-        self.replicas = [
-            ReplicaSlot(t, r, f"t{t}/r{r}")
-            for t in range(N_TENANTS) for r in range(N_REPLICAS)
-        ]
-        #: Enclave base addresses ever booted — the masked-fault
-        #: invariant accepts exactly these vaddrs in the fault log.
-        self.bases = set()
-        self.departed = [False] * N_TENANTS
-        self.issued = [0] * N_TENANTS
-        self.served = [0] * N_TENANTS
-        self.shed = [0] * N_TENANTS
-        self.aborts = [0] * N_TENANTS
-        self.recoveries = [0] * N_TENANTS
-        self.quarantines = [0] * N_TENANTS
-        self.failovers = [0] * N_TENANTS
-        self.last_primary = [0] * N_TENANTS
-        self.ops = [0] * N_TENANTS
-        self.aex = 0
-        self.arrivals = 0
-        self.departures = 0
-        self.arrival_refusals = 0
-        self.outcome = "running"
-        self.reason = ""
-        self.violations = []
-        for slot in self.replicas:
-            self._boot_replica(slot)
+        self.service = EnclaveService(ServiceConfig(
+            tenants=[_spec(name) for name in TENANTS],
+            epc_pages=EPC_PAGES,
+            ticks=0,
+            fault_plan=ServiceFaultPlan(seed=0, ticks=0, events=()),
+        ))
+        self.service.recovery.restart_policy = RestartPolicy(
+            max_restarts=MAX_RESTARTS)
+        self.service.boot()
+        #: Violations seen while applying actions: an exception that
+        #: escaped the service's structured paths, or a forged blob a
+        #: running replica consumed without aborting.
+        self.findings = []
 
-    # -- boot ----------------------------------------------------------------
-
-    def _program(self, slot):
-        grid = slot.tenant * N_REPLICAS + slot.index
-        return EnclaveProgram(
-            config=_tiny_config(),
-            layout=EnclaveLayout(
-                base=STRIDE * (grid + 1),
-                runtime_pages=2, code_pages=2, data_pages=2,
-                heap_pages=8,
-            ),
-            warmup=_no_warmup,
-            name=slot.name,
-        )
-
-    def _boot_replica(self, slot):
-        record = self.recovery.launch(slot.name, self._program(slot))
-        self.engines[slot.name] = record.program.engine(record.runtime)
-        self.bases.add(record.runtime.enclave.base)
-
-    # -- derived state -------------------------------------------------------
+    @property
+    def violations(self):
+        return self.service.violations + self.findings
 
     @property
     def terminal(self):
         return bool(self.violations)
 
-    def _member(self, slot):
-        """The supervisor record, or ``None`` after teardown."""
-        try:
-            return self.recovery.member(slot.name)
-        except KeyError:
-            return None
+    def tenant(self, t):
+        """The live tenant named ``TENANTS[t]``, or ``None`` while it
+        is retired."""
+        return next(
+            (x for x in self.service.tenants
+             if x.spec.name == TENANTS[t] and not x.departed), None)
 
-    def _live_runtime(self, slot):
-        record = self._member(slot)
-        if record is None or record.runtime is None:
-            return None
-        if record.runtime.enclave.dead:
-            return None
-        return record.runtime
-
-    def _healthy(self, slot):
-        if self.departed[slot.tenant] or slot.suspended:
-            return False
-        record = self._member(slot)
-        return record is not None and record.state == RUNNING
-
-    def _peek_primary(self, tenant):
-        """The replica a request would run on — *pure* (no failover
-        accounting), for action-enabling checks."""
-        for slot in self.replicas:
-            if slot.tenant == tenant and self._healthy(slot):
-                return slot
-        return None
-
-    def _elect_primary(self, tenant):
-        """Deterministic primary election with failover accounting
-        (mirrors :meth:`repro.service.pool.TenantPool.elect_primary`,
-        including the all-replicas-unhealthy ``None``)."""
-        for slot in self.replicas:
-            if slot.tenant != tenant:
+    def replicas(self):
+        """``(tenant, pool, handle, record)`` for every live replica,
+        tenant-major."""
+        for t in range(len(TENANTS)):
+            tenant = self.tenant(t)
+            if tenant is None:
                 continue
-            if self._healthy(slot):
-                if slot.index != self.last_primary[tenant]:
-                    self.failovers[tenant] += 1
-                    self.last_primary[tenant] = slot.index
-                return slot
-        return None
+            pool = self.service.pool(tenant)
+            for handle in pool.replicas:
+                record = self.service.recovery.member(handle.member_name)
+                yield tenant, pool, handle, record
 
-    def _pool_addrs(self, runtime):
-        heap = runtime.regions["heap"].start
-        return [heap + i * PAGE_SIZE for i in range(POOL_PAGES)]
+    def live_enclaves(self):
+        """``(member name, enclave id)`` of every RUNNING replica whose
+        enclave is alive."""
+        return {
+            (handle.member_name, record.runtime.enclave.enclave_id)
+            for _, _, handle, record in self.replicas()
+            if record.state == RUNNING and record.runtime is not None
+            and not record.runtime.enclave.dead
+        }
 
-    def _tamper_target(self):
-        """The lowest replica with a forgeable sealed pool blob: a
-        suspended replica's suspend set, or a swapped-out pool page.
-        Pure — used by both enabling and dispatch."""
-        for slot in self.replicas:
-            if self.departed[slot.tenant]:
-                continue
-            runtime = self._live_runtime(slot)
-            if runtime is None:
-                continue
-            record = self._member(slot)
-            if record.state != RUNNING:
-                continue
-            pool = set(self._pool_addrs(runtime))
-            if slot.suspended:
-                if slot.tampered:
-                    continue
-                state = self.kernel.driver.state(runtime.enclave)
-                in_pool = sorted(pool & set(state.suspend_set))
-                # Prefer a workload page; fall back to any suspend-set
-                # blob (runtime/TCS) — resume must verify them all.
-                if in_pool:
-                    return slot, in_pool[0]
-                if state.suspend_set:
-                    return slot, min(state.suspend_set)
-                continue
-            eid = runtime.enclave.enclave_id
-            swapped = set(self.kernel.backing.swapped_pages(eid))
-            candidates = sorted(
-                v for v in pool & swapped
-                if not self.kernel.driver.resident(runtime.enclave, v)
-            )
-            if candidates:
-                return slot, candidates[0]
-        return None
+    def forged_blobs(self):
+        """``(member, enclave id, vaddr)`` of every forged blob still
+        waiting in the store for a live replica."""
+        backing = self.service.kernel.backing
+        return {
+            (member, eid, v) for member, eid in self.live_enclaves()
+            for e, v in backing.tainted if e == eid and backing.has(e, v)
+        }
 
     def state_key(self):
-        """Canonical identity for dedup and the jobs digest."""
-        tenants = tuple(
-            (self.departed[t], self.issued[t], self.served[t],
-             self.shed[t], self.aborts[t], self.recoveries[t],
-             self.quarantines[t], self.failovers[t],
-             self.last_primary[t], self.ops[t])
-            for t in range(N_TENANTS)
-        )
-        replicas = []
-        for slot in self.replicas:
-            record = self._member(slot)
-            if record is None:
-                replicas.append((slot.name, "gone"))
-                continue
-            runtime = self._live_runtime(slot)
-            body = (canonical_state(runtime)
-                    if runtime is not None else ("dead",))
-            replicas.append((
-                slot.name, record.state, slot.suspended,
-                slot.tampered, record.restarts, body,
-            ))
-        raw = repr((
-            tenants,
-            tuple(replicas),
-            self.kernel.epc.free_pages,
-            self.aex,
-            self.arrivals,
-            self.departures,
-            self.arrival_refusals,
-            tuple(self.violations),
-        )).encode()
+        """Canonical identity for dedup and the jobs digest: the
+        service's canonical state, plus each live runtime's paging
+        state and the blobs the host has forged for it."""
+        backing = self.service.kernel.backing
+        members = []
+        for record in self.service.recovery.fleet():
+            runtime = record.runtime
+            body = None
+            if runtime is not None and not runtime.enclave.dead:
+                eid = runtime.enclave.enclave_id
+                body = (canonical_state(runtime), tuple(sorted(
+                    v for e, v in backing.tainted if e == eid)))
+            members.append((record.name, record.state, record.restarts,
+                            body))
+        members.sort(key=lambda member: member[0])
+        raw = repr((self.service.canonical(), tuple(members),
+                    tuple(self.findings))).encode()
         return hashlib.sha256(raw).hexdigest()
 
 
 # -- the action alphabet -----------------------------------------------------
 
-def enabled_actions(world):
-    """Host/service actions applicable in ``world``, canonical order.
-    Pure: enabling checks never mutate the world."""
+def _event(kind, tenant, param=0):
+    return ServiceFaultEvent(kind, at_tick=0, tenant_index=tenant.index,
+                             param=param)
+
+
+def _moves(world):
+    """``action -> target`` for every enabled action, canonical order.
+    A target is plain data (a tenant, an event, a page), resolved
+    against whichever copy of the world the action is applied to."""
     if world.terminal:
-        return []
-    actions = []
-    for t in range(N_TENANTS):
+        return {}
+    moves = {}
+    for t in range(len(TENANTS)):
         # A request against a pool with no healthy replica is enabled
-        # on purpose: the structured shed *is* the behaviour under
-        # check (the unguarded-failover case).
-        if not world.departed[t]:
-            actions.append(f"req:{t}")
-    if world._peek_primary(0) is not None:
-        actions.append("storm")
-    if any(world._healthy(slot) for slot in world.replicas):
-        actions.append("suspend")
-    if any(slot.suspended and world._live_runtime(slot) is not None
-           for slot in world.replicas):
-        actions.append("resume")
-    if world._tamper_target() is not None:
-        actions.append("tamper")
-    if not world.departed[1]:
-        actions.append("retire")
-    elif world.kernel.epc.free_pages >= ARRIVE_HEADROOM:
-        actions.append("arrive")
-    return actions
+        # on purpose: the structured shed is behaviour under check.
+        tenant = world.tenant(t)
+        if tenant is not None:
+            moves[f"req:{t}"] = tenant.index
+    victim = world.tenant(0)
+    if world.service.pool(victim).primary() is not None:
+        moves["storm"] = _event(
+            ServiceFaultKind.AEX_STORM, victim, STORM_ROUNDS)
+        moves["tamper"] = _event(ServiceFaultKind.TENANT_TAMPER, victim)
+    live = [(tenant, pool, handle, record)
+            for tenant, pool, handle, record in world.replicas()
+            if record.state == RUNNING]
+    healthy = [(t, h) for t, pool, h, _ in live if pool.healthy(h)]
+    if healthy:
+        tenant, handle = healthy[0]
+        moves["suspend"] = _event(
+            ServiceFaultKind.REPLICA_SUSPEND, tenant, handle.index)
+    suspended = [(t, h, r) for t, _, h, r in live if h.suspended]
+    if suspended:
+        tenant, handle, _ = suspended[0]
+        moves["resume"] = _event(
+            ServiceFaultKind.REPLICA_RESUME, tenant, handle.index)
+    # At most one forged blob per enclave: a second forgery adds no
+    # schedule the first does not already cover.
+    backing = world.service.kernel.backing
+    for _, handle, record in suspended:
+        eid = record.runtime.enclave.enclave_id
+        if not any(e == eid for e, _ in backing.tainted):
+            state = world.service.kernel.driver.state(
+                record.runtime.enclave)
+            moves["forge"] = (handle.member_name, state.suspend_set[-1])
+            break
+    if world.tenant(1) is not None:
+        moves["retire"] = TENANTS[1]
+    else:
+        moves["arrive"] = TENANTS[1]
+    return moves
+
+
+def enabled_actions(world):
+    """Actions applicable in ``world``, canonical order.  Pure:
+    enabling checks never mutate the world."""
+    return list(_moves(world))
 
 
 def apply_action(world, action):
-    """Apply one action.  The pool world handles structured aborts
-    *inside* the actions (the service recovers and fails over rather
-    than ending the run); an exception escaping to here is itself an
-    invariant violation."""
+    """Apply one enabled action.  The service handles structured
+    aborts itself (it recovers and fails over rather than ending the
+    run); an exception escaping it is an invariant violation."""
+    moves = _moves(world)
+    if action not in moves:
+        raise SgxError(f"pool action {action!r} is not enabled")
+    target = moves[action]
+    service = world.service
+    forged = world.forged_blobs()
     try:
-        _dispatch(world, action)
-    except (EnclaveTerminated, IntegrityError, EnclaveCrashed,
-            SgxError) as exc:
-        world.violations.append(
-            f"{action}: {type(exc).__name__} escaped the pool's "
-            f"failover path: {exc}")
+        if action.startswith("req:"):
+            service.submit(service.tenants[target])
+            service.dispatch()
+        elif action == "forge":
+            _forge(world, *target)
+        elif action == "retire":
+            service.retire(target)
+        elif action == "arrive":
+            service.arrive(_spec(target))
+        else:
+            service.apply_fault(target)
+    except ReproError as exc:
+        world.findings.append(
+            f"{action}: {type(exc).__name__} escaped the service: {exc}")
+    world.findings.extend(_silent_consumption(world, forged))
     return world
 
 
-def _dispatch(world, action):
-    if action.startswith("req:"):
-        _request(world, int(action.split(":", 1)[1]))
-        return
-    if action == "storm":
-        _storm(world)
-        return
-    if action == "suspend":
-        _suspend(world)
-        return
-    if action == "resume":
-        _resume(world)
-        return
-    if action == "tamper":
-        _tamper(world)
-        return
-    if action == "retire":
-        _retire(world)
-        return
-    if action == "arrive":
-        _arrive(world)
-        return
-    raise SgxError(f"unknown pool action {action!r}")
+def _silent_consumption(world, forged):
+    """Blobs of ``forged`` (taken before the action) that left the
+    store while the same enclave kept running: restored or loaded
+    without the abort §5.2.1 demands."""
+    live = world.live_enclaves()
+    waiting = world.forged_blobs()
+    return [
+        f"replica {member} consumed forged blob {vaddr:#x} without "
+        f"aborting"
+        for member, eid, vaddr in sorted(forged)
+        if (member, eid) in live and (member, eid, vaddr) not in waiting
+    ]
 
 
-def _request(world, tenant):
-    """One request: elect a primary, touch two pool pages, fail over
-    on abort.  No healthy replica → structured shed, never a crash."""
-    world.issued[tenant] += 1
-    slot = world._elect_primary(tenant)
-    if slot is None:
-        world.shed[tenant] += 1
-        return
-    runtime = world._live_runtime(slot)
-    pool = world._pool_addrs(runtime)
-    k = world.ops[tenant]
-    engine = world.engines[slot.name]
-    try:
-        engine.data_access(pool[k % POOL_PAGES])
-        engine.data_access(pool[(k + 1) % POOL_PAGES], write=True)
-    except (EnclaveTerminated, IntegrityError) as exc:
-        world.aborts[tenant] += 1
-        world.shed[tenant] += 1
-        _recover_replica(world, slot, exc)
-        return
-    world.ops[tenant] += 2
-    world.served[tenant] += 1
-
-
-def _recover_replica(world, slot, cause):
-    """The service's abort pipeline: mark down, bounded restart,
-    quarantine on exhausted budget.  The pool carries the tenant
-    either way — a quarantined replica just stays unhealthy."""
-    tenant = slot.tenant
-    world.recovery.mark_down(slot.name, cause)
-    try:
-        world.recovery.recover(slot.name)
-    except (Quarantined, IntegrityAbort):
-        world.quarantines[tenant] += 1
-        return
-    world.recoveries[tenant] += 1
-    record = world.recovery.member(slot.name)
-    world.engines[slot.name] = record.program.engine(record.runtime)
-    slot.suspended = False
-    slot.tampered = False
-
-
-def _storm(world):
-    """A train of asynchronous exits against tenant 0's primary — the
-    §3.2 interrupt channel.  Costs cycles, never correctness."""
-    slot = world._elect_primary(0)
-    if slot is None:
-        return
-    runtime = world._live_runtime(slot)
-    cpu, tcs = world.kernel.cpu, runtime.tcs
-    for _ in range(STORM_ROUNDS):
-        cpu.interrupt(runtime.enclave, tcs)
-        cpu.resume_from_interrupt(runtime.enclave, tcs)
-    world.aex += STORM_ROUNDS
-
-
-def _suspend(world):
-    """Suspend the lowest healthy replica (§5.2.1 whole-enclave swap):
-    its pool must route around it until resume."""
-    for slot in world.replicas:
-        if world._healthy(slot):
-            runtime = world._live_runtime(slot)
-            world.kernel.driver.suspend_enclave(runtime.enclave)
-            slot.suspended = True
-            return
-
-
-def _resume(world):
-    """Resume the lowest suspended replica.  A blob forged while it
-    was suspended must fail ELDU verification — that abort is
-    structured (the replica recovers or is quarantined); resuming
-    *onto* the forged state is the violation."""
-    for slot in world.replicas:
-        if not slot.suspended or world._live_runtime(slot) is None:
-            continue
-        runtime = world._live_runtime(slot)
-        tampered = slot.tampered
-        slot.tampered = False
-        try:
-            world.kernel.driver.resume_enclave(runtime.enclave)
-        except (IntegrityError, EnclaveTerminated) as exc:
-            slot.suspended = False
-            world.aborts[slot.tenant] += 1
-            _recover_replica(world, slot, exc)
-            return
-        slot.suspended = False
-        if tampered:
-            world.violations.append(
-                "resume restored a forged suspend-set blob without "
-                "aborting")
-        return
-
-
-def _tamper(world):
-    """Forge the lowest forgeable sealed pool blob.  Against a running
-    replica the next touch consumes it (immediate, like the model's
-    ``tamper``); against a suspended replica the forgery is silent and
-    ``resume`` is the consumption point."""
-    import dataclasses
-
-    found = world._tamper_target()
-    if found is None:
-        return
-    slot, target = found
-    runtime = world._live_runtime(slot)
-    eid = runtime.enclave.enclave_id
-    backing = world.kernel.backing
-    blob = backing.get(eid, target)
+def _forge(world, member, vaddr):
+    """Overwrite one sealed blob of a suspended replica's suspend set:
+    a forgery that only the replica's resume can detect."""
+    record = world.service.recovery.member(member)
+    eid = record.runtime.enclave.enclave_id
+    backing = world.service.kernel.backing
+    blob = backing.get(eid, vaddr)
     backing.substitute(
-        eid, target, dataclasses.replace(blob, mac="forged-by-model"))
-    if slot.suspended:
-        slot.tampered = True
-        return
-    try:
-        world.engines[slot.name].data_access(target)
-    except (EnclaveTerminated, IntegrityError) as exc:
-        world.aborts[slot.tenant] += 1
-        _recover_replica(world, slot, exc)
-        return
-    world.violations.append(
-        f"enclave resumed on tampered page {target:#x} without "
-        "aborting")
-
-
-def _retire(world):
-    """Live churn, departure half: tear tenant 1's replicas down and
-    assert EPC parity — every frame they held comes back, none of
-    anyone else's do."""
-    held = 0
-    before = world.kernel.epc.free_pages
-    for slot in world.replicas:
-        if slot.tenant != 1:
-            continue
-        record = world._member(slot)
-        if record is None:
-            continue
-        runtime = world._live_runtime(slot)
-        if runtime is not None:
-            held += len(runtime.enclave.backed)
-        world.recovery.teardown(slot.name)
-        world.engines.pop(slot.name, None)
-        slot.suspended = False
-        slot.tampered = False
-    freed = world.kernel.epc.free_pages - before
-    if freed != held:
-        world.violations.append(
-            f"EPC parity broken retiring tenant 1: freed {freed} "
-            f"frames, replicas held {held}")
-    world.departed[1] = True
-    world.departures += 1
-
-
-def _arrive(world):
-    """Live churn, arrival half: re-admit tenant 1 with a fresh pool.
-    A boot failure under EPC pressure is a structured refusal — the
-    partial pool is reclaimed and the tenant stays departed."""
-    booted = []
-    try:
-        for slot in world.replicas:
-            if slot.tenant != 1:
-                continue
-            slot.suspended = False
-            slot.tampered = False
-            world._boot_replica(slot)
-            booted.append(slot)
-    except (SgxError, EnclaveTerminated, EnclaveCrashed):
-        for slot in booted:
-            world.recovery.teardown(slot.name)
-            world.engines.pop(slot.name, None)
-        world.arrival_refusals += 1
-        return
-    world.departed[1] = False
-    world.last_primary[1] = 0
-    world.arrivals += 1
-
-
-# -- invariants --------------------------------------------------------------
-
-def _accounting_balance(world):
-    out = []
-    for t in range(N_TENANTS):
-        if world.served[t] + world.shed[t] != world.issued[t]:
-            out.append(
-                f"tenant {t} accounting broken: {world.served[t]} "
-                f"served + {world.shed[t]} shed != "
-                f"{world.issued[t]} issued")
-    return out
-
-
-def _epc_parity(world):
-    epc = world.kernel.epc
-    backed = sum(
-        len(enclave.backed)
-        for enclave in world.kernel.instr.enclaves.values())
-    if epc.free_pages + backed != epc.total_pages:
-        return [
-            f"EPC parity broken: {epc.free_pages} free + {backed} "
-            f"backed != {epc.total_pages} total"
-        ]
-    return []
-
-
-def _masked_faults(world):
-    for fault in world.kernel.fault_log:
-        if (fault.vaddr not in world.bases or fault.write
-                or fault.exec_ or fault.present):
-            return [
-                f"unmasked fault leaked to the OS: {fault.vaddr:#x} "
-                f"(write={fault.write}, present={fault.present})"
-            ]
-    return []
-
-
-def _suspension_consistency(world):
-    out = []
-    for slot in world.replicas:
-        runtime = world._live_runtime(slot)
-        if runtime is None:
-            continue
-        record = world._member(slot)
-        if record.state != RUNNING:
-            # A quarantined corpse may die mid-resume; it is out of
-            # the election and its driver flag no longer matters.
-            continue
-        state = world.kernel.driver.state(runtime.enclave)
-        if state.suspended != slot.suspended:
-            out.append(
-                f"replica {slot.name} suspension state diverged: "
-                f"driver={state.suspended} pool={slot.suspended}")
-    return out
-
-
-INVARIANTS = (
-    _accounting_balance,
-    _epc_parity,
-    _masked_faults,
-    _suspension_consistency,
-)
+        eid, vaddr, dataclasses.replace(blob, mac=FORGED_MAC))
 
 
 def check_world(world):
     """All invariant violations of one pool world (empty when safe)."""
-    out = []
-    for invariant in INVARIANTS:
-        out.extend(invariant(world))
-    return out
+    return world.service.check_invariants()
 
 
 # -- explorer entry points ---------------------------------------------------

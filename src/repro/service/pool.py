@@ -83,17 +83,23 @@ class TenantPool:
 
     # -- election ----------------------------------------------------------
 
+    def primary(self):
+        """The replica election would pick, without counting a
+        failover: the lowest-index healthy one, or ``None``."""
+        for handle in self.replicas:
+            if self.healthy(handle):
+                return handle
+        return None
+
     def elect_primary(self):
         """Lowest-index healthy replica, or ``None`` when the pool is
         exhausted.  The caller owns the all-unhealthy case — it must
         shed structured (``pool-unavailable``), never retry blindly."""
-        for handle in self.replicas:
-            if self.healthy(handle):
-                if handle.index != self.last_primary:
-                    self.failovers += 1
-                    self.last_primary = handle.index
-                return handle
-        return None
+        handle = self.primary()
+        if handle is not None and handle.index != self.last_primary:
+            self.failovers += 1
+            self.last_primary = handle.index
+        return handle
 
     # -- observability -----------------------------------------------------
 

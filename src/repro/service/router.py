@@ -227,6 +227,11 @@ class EnclaveService:
             self._bind_replica(tenant, handle)
         self._tenant_pools[tenant.spec.name] = pool
 
+    def pool(self, tenant):
+        """The tenant's live replica pool, or ``None`` once retired or
+        refused."""
+        return self._tenant_pools.get(tenant.spec.name)
+
     def _bind_replica(self, tenant, handle):
         """(Re)build the engine and address pool for one replica's
         current incarnation — at boot and after every recovery."""
@@ -251,7 +256,7 @@ class EnclaveService:
 
     # -- live churn --------------------------------------------------------
 
-    def _arrive(self, spec):
+    def arrive(self, spec):
         """Boot a new tenant mid-run.  Headroom is ballooned first; a
         boot the EPC cannot hold is *refused* structurally (partial
         pool reclaimed, counter bumped) — never a crash."""
@@ -282,16 +287,17 @@ class EnclaveService:
         self.metrics.arrivals += 1
         return True
 
-    def _retire(self, name):
+    def retire(self, name):
         """Drain-before-retire: every queued request of the departing
         tenant ends terminal (executed within the drain budget or shed
         ``tenant-retired``), the half-open probe is cancelled so the
         breaker cannot wedge, and the pool is torn down with EPC page
         parity checked."""
         tenant = next(
-            (t for t in self.tenants if t.spec.name == name), None
+            (t for t in self.tenants
+             if t.spec.name == name and not t.departed), None
         )
-        if tenant is None or tenant.departed:
+        if tenant is None:
             self.skipped_events.append((self.tick, "retire", name))
             return
         tenant.departed = True
@@ -398,14 +404,17 @@ class EnclaveService:
             self.tick = tick
             self.kernel.clock.charge(self.config.tick_cycles, Category.OS)
             for name in departures_at.get(tick, ()):
-                self._retire(name)
+                self.retire(name)
             for spec in arrivals_at.get(tick, ()):
-                self._arrive(spec)
+                self.arrive(spec)
             for event in events.get(tick, ()):
-                self._apply_fault(event)
+                self.apply_fault(event)
             self._evaluate_tiers()
-            self._admit_arrivals(tick)
-            self._dispatch()
+            for tenant in self.tenants:
+                if not tenant.departed:
+                    for _ in range(tenant.arrivals(tick)):
+                        self.submit(tenant)
+            self.dispatch()
         # Drain: no new arrivals, dispatch until the bounded queue is
         # empty (provably <= capacity ticks since dispatch_per_tick>=1).
         for _ in range(self.config.queue_capacity + 1):
@@ -414,14 +423,14 @@ class EnclaveService:
             self.tick += 1
             self.kernel.clock.charge(self.config.tick_cycles, Category.OS)
             self._evaluate_tiers()
-            self._dispatch()
+            self.dispatch()
         self.shutdown()
         self._check_invariants()
         return self._result()
 
     # -- fault application -------------------------------------------------
 
-    def _apply_fault(self, event):
+    def apply_fault(self, event):
         if not 0 <= event.tenant_index < len(self.tenants):
             self.skipped_events.append(
                 (self.tick, event.kind.value, "no-such-tenant")
@@ -453,7 +462,7 @@ class EnclaveService:
     def _primary_runtime(self, tenant, what):
         """The pool primary's (handle, record) for a fault target, or
         ``None`` (with a skipped-event record) when nothing can serve."""
-        pool = self._tenant_pools.get(tenant.spec.name)
+        pool = self.pool(tenant)
         handle = pool.elect_primary() if pool is not None else None
         if handle is None:
             self.skipped_events.append((self.tick, what, "pool-down"))
@@ -517,7 +526,7 @@ class EnclaveService:
             # Suspension is never used on a sealed working set.
             self.skipped_events.append((self.tick, "suspend", "pinned"))
             return
-        pool = self._tenant_pools.get(tenant.spec.name)
+        pool = self.pool(tenant)
         if pool is None:
             self.skipped_events.append((self.tick, "suspend", "no-pool"))
             return
@@ -539,7 +548,7 @@ class EnclaveService:
     def _resume_replica(self, tenant, event):
         """Resume a suspended replica: every suspend-set page must be
         restored (verbatim, MAC-checked) before it serves again."""
-        pool = self._tenant_pools.get(tenant.spec.name)
+        pool = self.pool(tenant)
         if pool is None:
             self.skipped_events.append((self.tick, "resume", "no-pool"))
             return
@@ -559,6 +568,14 @@ class EnclaveService:
         self._make_headroom(need)
         try:
             self.kernel.driver.resume_enclave(enclave)
+        except (EnclaveTerminated, IntegrityError) as exc:
+            # A suspend-set blob failed verification: fail stop through
+            # the same pipeline as a request abort.  The replica leaves
+            # the suspended state either way — recovered from its
+            # sealed checkpoint or quarantined.
+            handle.suspended = False
+            self._abort_replica(tenant, handle, exc)
+            return
         except SgxError:
             # EPC could not hold the restore; the replica stays
             # suspended (still structurally unhealthy, still counted).
@@ -598,7 +615,7 @@ class EnclaveService:
         for tenant in self.tenants:
             if tenant.spec.pinned or tenant.departed:
                 continue
-            pool = self._tenant_pools.get(tenant.spec.name)
+            pool = self.pool(tenant)
             if pool is None:
                 continue
             for handle in pool.replicas:
@@ -651,7 +668,7 @@ class EnclaveService:
         for tenant in self.tenants:
             if tenant.departed:
                 continue
-            pool = self._tenant_pools.get(tenant.spec.name)
+            pool = self.pool(tenant)
             if pool is None:
                 continue
             for handle in pool.replicas:
@@ -671,26 +688,17 @@ class EnclaveService:
 
     # -- admission ---------------------------------------------------------
 
-    def _admit_arrivals(self, tick):
+    def submit(self, tenant):
+        """Draw the tenant's next request and run it through the
+        admission chain: queued, or shed with a structured reason."""
         now = self.kernel.clock.cycles
-        for tenant in self.tenants:
-            if tenant.departed:
-                continue
-            for _ in range(tenant.arrivals(tick)):
-                request = tenant.make_request(now, tick)
-                self.metrics.submitted += 1
-                reason = self._admit(tenant, request, now)
-                if reason is None:
-                    self.metrics.admitted += 1
-                else:
-                    self._finish(RequestResult(
-                        tenant=request.tenant,
-                        request_id=request.request_id,
-                        outcome=OUTCOME_SHED,
-                        reason=reason,
-                        cycles=0,
-                        fetches=0,
-                    ))
+        request = tenant.make_request(now, self.tick)
+        self.metrics.submitted += 1
+        reason = self._admit(tenant, request, now)
+        if reason is None:
+            self.metrics.admitted += 1
+        else:
+            self._finish(self._shed(request, reason))
 
     def _slo_violated(self, tenant):
         """Whether the tenant's own served-latency p95 exceeds its SLO
@@ -735,7 +743,7 @@ class EnclaveService:
 
     # -- dispatch and execution --------------------------------------------
 
-    def _dispatch(self):
+    def dispatch(self):
         for _ in range(self.config.dispatch_per_tick):
             if not self._queue:
                 return
@@ -746,7 +754,7 @@ class EnclaveService:
         """Run one admitted request to a terminal outcome on the pool's
         elected primary."""
         name = tenant.spec.name
-        pool = self._tenant_pools.get(name)
+        pool = self.pool(tenant)
         handle = pool.elect_primary() if pool is not None else None
         if handle is None:
             # Every replica is down, suspended, or quarantined: the
@@ -822,52 +830,52 @@ class EnclaveService:
         )
 
     def _handle_abort(self, tenant, handle, request, exc, start):
-        """Structured abort on one replica: report to the tenant's
-        breaker, route the *replica* through the recovery supervisor,
-        and latch the breaker only when the whole pool is exhausted —
-        a quarantined primary with a healthy sibling is a failover,
-        not an outage."""
-        member = handle.member_name
-        clock = self.kernel.clock
-        tenant.aborts += 1
+        """A request aborted on its replica: the replica goes through
+        the abort pipeline and the request ends structured-abort."""
         if isinstance(exc, EnclaveTerminated) and exc.reason:
             reason = exc.reason.value
         elif isinstance(exc, IntegrityError):
             reason = "integrity"
         else:
             reason = f"unclassified({type(exc).__name__})"
-        tenant.breaker.record_failure(clock.cycles)
-        self.recovery.mark_down(member, exc)
-        self._make_headroom(RELAUNCH_HEADROOM_PAGES)
-        quarantined = False
-        try:
-            self.recovery.recover(member)
-            self._bind_replica(tenant, handle)
-            tenant.recoveries += 1
-            self.metrics.recoveries += 1
-        except Quarantined:
-            quarantined = True
-        except IntegrityAbort:
-            # Tamper/rollback evidence during restore itself: retrying
-            # cannot launder it — take the replica out of rotation.
-            quarantined = True
-        except (EnclaveCrashed, ChaosAbort, HostCallDenied):
-            quarantined = True
-        if quarantined:
-            self.metrics.quarantines += 1
-            pool = self._tenant_pools.get(tenant.spec.name)
-            if pool is None or pool.healthy_count() == 0:
-                # No replica left to fail over to: only now does the
-                # tenant itself go dark.
-                tenant.breaker.latch_open()
+        self._abort_replica(tenant, handle, exc)
         return RequestResult(
             tenant=tenant.spec.name,
             request_id=request.request_id,
             outcome=OUTCOME_ABORTED,
             reason=reason,
-            cycles=clock.cycles - start,
+            cycles=self.kernel.clock.cycles - start,
             fetches=0,
         )
+
+    def _abort_replica(self, tenant, handle, exc):
+        """Structured abort on one replica: report to the tenant's
+        breaker, route the *replica* through the recovery supervisor,
+        and latch the breaker only when the whole pool is exhausted —
+        a quarantined primary with a healthy sibling is a failover,
+        not an outage."""
+        member = handle.member_name
+        tenant.aborts += 1
+        tenant.breaker.record_failure(self.kernel.clock.cycles)
+        self.recovery.mark_down(member, exc)
+        self._make_headroom(RELAUNCH_HEADROOM_PAGES)
+        try:
+            self.recovery.recover(member)
+        except (Quarantined, IntegrityAbort, EnclaveCrashed, ChaosAbort,
+                HostCallDenied):
+            # IntegrityAbort is tamper/rollback evidence during restore
+            # itself: retrying cannot launder it.  Either way the
+            # replica leaves rotation.
+            self.metrics.quarantines += 1
+            pool = self.pool(tenant)
+            if pool is None or pool.healthy_count() == 0:
+                # No replica left to fail over to: only now does the
+                # tenant itself go dark.
+                tenant.breaker.latch_open()
+            return
+        self._bind_replica(tenant, handle)
+        tenant.recoveries += 1
+        self.metrics.recoveries += 1
 
     def _finish(self, result):
         if result.outcome not in OUTCOMES:
@@ -880,16 +888,59 @@ class EnclaveService:
 
     # -- invariants and reporting ------------------------------------------
 
-    def _check_invariants(self):
-        terminal = (
-            self.metrics.completed + self.metrics.degraded
-            + self.metrics.shed + self.metrics.aborted
-        )
-        if terminal != self.metrics.submitted:
-            self.violations.append(
-                f"request accounting leak: {self.metrics.submitted} "
-                f"submitted but {terminal} terminal outcomes"
+    def check_invariants(self):
+        """The per-state safety invariants, as violation messages
+        (empty when safe).  :meth:`run` checks them once the fleet is
+        shut down; the model checker's pool world checks them after
+        every action."""
+        out = []
+        m = self.metrics
+        terminal = m.completed + m.degraded + m.shed + m.aborted
+        if terminal + len(self._queue) != m.submitted:
+            out.append(
+                f"request accounting leak: {m.submitted} submitted but "
+                f"{terminal} terminal + {len(self._queue)} queued"
             )
+        out.extend(self.kernel.instr.epc_parity_violations())
+        out.extend(self.kernel.unmasked_fault_violations({
+            tenant.layout(r).base
+            for tenant in self.tenants
+            for r in range(tenant.spec.replicas)
+        }))
+        for pool in self._tenant_pools.values():
+            for handle in pool.replicas:
+                out.extend(self._suspension_violations(handle))
+        return out
+
+    def _suspension_violations(self, handle):
+        """A RUNNING replica's pool handle and driver agree on whether
+        it is suspended, and a suspended replica holds no EPC frames
+        (§5.2.1: the swap is whole, and resume restores all of it or
+        fails stop).  A quarantined corpse is out of rotation and is
+        not checked."""
+        try:
+            record = self.recovery.member(handle.member_name)
+        except KeyError:
+            return []
+        if record.state != RUNNING or record.runtime is None:
+            return []
+        enclave = record.runtime.enclave
+        suspended = self.kernel.driver.state(enclave).suspended
+        if suspended != handle.suspended:
+            return [
+                f"replica {handle.member_name} suspension state "
+                f"diverged: driver={suspended} pool={handle.suspended}"
+            ]
+        if suspended and enclave.backed:
+            return [
+                f"suspended replica {handle.member_name} still holds "
+                f"{len(enclave.backed)} EPC frames"
+            ]
+        return []
+
+    def _check_invariants(self):
+        """End of run: the queue drained, the fleet is gone, and the
+        per-state invariants still hold."""
         if self._queue:
             self.violations.append(
                 f"{len(self._queue)} requests left on the queue after "
@@ -903,18 +954,7 @@ class EnclaveService:
                         f"replica {tenant.replica_name(r)} survived "
                         f"shutdown"
                     )
-        bases = {
-            tenant.layout(r).base
-            for tenant in self.tenants
-            for r in range(tenant.spec.replicas)
-        }
-        for fault in self.kernel.fault_log:
-            if (fault.vaddr not in bases or fault.write or fault.exec_
-                    or fault.present):
-                self.violations.append(
-                    f"unmasked fault leaked to the OS: {fault.vaddr:#x}"
-                )
-                break
+        self.violations.extend(self.check_invariants())
 
     def _pool_canonicals(self):
         pools = list(self._retired_pools) + [
@@ -923,26 +963,30 @@ class EnclaveService:
         ]
         return tuple(sorted(p.canonical() for p in pools))
 
-    def _result(self):
-        stats = self.recovery.stats()
-        self.metrics.failovers = sum(
-            p.failovers for p in self._retired_pools
-        ) + sum(
-            p.failovers for p in self._tenant_pools.values()
-        )
-        fingerprint = repr((
+    def canonical(self):
+        """The service's canonical state: what a run's digest hashes,
+        and what the model checker's pool world dedups states by."""
+        return (
             self.config.seed,
             self.config.ticks,
             self.plan.canonical(),
             self.metrics.canonical(),
             tuple(t.canonical() for t in self.tenants),
             self._pool_canonicals(),
-            tuple(sorted(stats.items())),
+            tuple(sorted(self.recovery.stats().items())),
             self.kernel.clock.cycles,
             self.tier,
             tuple(self.skipped_events),
             tuple(self.violations),
-        )).encode()
+        )
+
+    def _result(self):
+        self.metrics.failovers = sum(
+            p.failovers for p in self._retired_pools
+        ) + sum(
+            p.failovers for p in self._tenant_pools.values()
+        )
+        fingerprint = repr(self.canonical()).encode()
         return ServiceResult(
             seed=self.config.seed,
             ticks=self.config.ticks,

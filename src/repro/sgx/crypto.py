@@ -13,9 +13,10 @@ callers) are what the paper's flows depend on, not the cipher itself.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import IntegrityError
 
@@ -30,6 +31,18 @@ class SealedPage:
     nonce: int
     ciphertext: object   # stands in for the encrypted page contents
     mac: int
+
+    def __deepcopy__(self, memo):
+        """A deep copy (a model checker's successor world) copies the
+        ciphertext object, and the MAC covers that object's identity:
+        re-MAC the copy so a genuine blob stays genuine.  A forged blob
+        stays forged."""
+        contents = copy.deepcopy(self.ciphertext, memo)
+        fields = (self.enclave_id, self.vaddr, self.version, self.nonce)
+        mac = self.mac
+        if mac == PagingCrypto._mac(*fields, self.ciphertext):
+            mac = PagingCrypto._mac(*fields, contents)
+        return replace(self, ciphertext=contents, mac=mac)
 
 
 class PagingCrypto:

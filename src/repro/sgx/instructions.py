@@ -245,6 +245,17 @@ class SgxInstructions:
         self.epc.free(self.epc.frame(pfn))
         del enclave.backed[vpn]
 
+    def epc_parity_violations(self):
+        """Free EPC frames plus every enclave's backed pages equal the
+        EPC size: no frame lost, none owned twice."""
+        backed = sum(len(enclave.backed) for enclave in self.enclaves.values())
+        if self.epc.free_pages + backed != self.epc.total_pages:
+            return [
+                f"EPC parity broken: {self.epc.free_pages} free + {backed} "
+                f"backed != {self.epc.total_pages} total"
+            ]
+        return []
+
     # -- helpers -----------------------------------------------------------
 
     def _install(self, enclave, vaddr, contents, perms, page_type):

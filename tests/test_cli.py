@@ -109,6 +109,19 @@ class TestAnalyze:
         assert "analyze" in capsys.readouterr().out
 
 
+class TestBench:
+    def test_help_states_the_regression_gate(self, capsys):
+        # The help text carries a literal percent sign; argparse must
+        # render it rather than crash on it.
+        from repro.bench import GATE_WINDOW, REGRESSION_FLOOR
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--help"])
+        assert exit_.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"below {REGRESSION_FLOOR:.0%} of its median" in out
+        assert f"trailing {GATE_WINDOW} entries" in out
+
+
 class TestRecover:
     def test_cli_recover_text(self, capsys):
         assert main(["recover", "--ops", "40",

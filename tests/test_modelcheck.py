@@ -8,6 +8,7 @@ behaviour, and the witness-export path replayed through the real chaos
 campaign.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -32,6 +33,7 @@ from repro.modelcheck.model import (
     replay,
     successor,
 )
+from repro.sgx.crypto import PagingCrypto
 
 
 # -- the model layer ---------------------------------------------------------
@@ -273,6 +275,13 @@ class TestWitnessExport:
 
 # -- the two-tenant pool world -----------------------------------------------
 
+def _suspend_set_tail(trace):
+    """The blob ``forge`` overwrites after ``trace``: the last page of
+    t0/r0's suspend set."""
+    world = poolworld.replay("pool", trace)
+    return world.service.kernel.backing.tainted.copy().pop()[1]
+
+
 class TestPoolWorld:
     def test_depth_three_is_safe_and_bounded(self):
         result = explore("pool", depth=3, max_states=400, jobs=1)
@@ -293,47 +302,128 @@ class TestPoolWorld:
         assert poolworld.enabled_actions(world) == first
         assert world.state_key() == key
 
+    @pytest.mark.parametrize("prefix", [(), ("req:0", "suspend"),
+                                        ("retire",)])
+    def test_successor_leaves_the_parent_untouched(self, prefix):
+        # The deep-copied service shares no mutable state with its
+        # parent: applying every enabled action to a child never moves
+        # the parent's state key.
+        world = poolworld.replay("pool", prefix)
+        key = world.state_key()
+        actions = poolworld.enabled_actions(world)
+        for action in actions:
+            poolworld.successor(world, action)
+            assert world.state_key() == key, action
+        assert poolworld.enabled_actions(world) == actions
+
+    def test_finds_a_resume_that_swallows_a_forged_blob(
+            self, monkeypatch):
+        # Seed the bug this world found in the service: an integrity
+        # failure at resume logged as an EPC-full skip, leaving the
+        # replica suspended while it holds the frames restored so far.
+        from repro.service.router import EnclaveService
+
+        def swallow(service, tenant, handle, exc):
+            handle.suspended = True
+            service.skipped_events.append(
+                (service.tick, "resume", "epc-full"))
+
+        monkeypatch.setattr(EnclaveService, "_abort_replica", swallow)
+        trace, messages = minimize(
+            "pool", ("req:0", "suspend", "forge", "resume"))
+        assert trace == ("suspend", "forge", "resume")
+        assert sorted(messages) == [
+            "replica t0/r0 consumed forged blob "
+            f"{_suspend_set_tail(trace[:2]):#x} without aborting",
+            "suspended replica t0/r0 still holds 8 EPC frames",
+        ]
+
+    @staticmethod
+    def _skip_mac_checks(monkeypatch):
+        # Seed a crypto layer that no longer verifies MACs: a forged
+        # blob then restores or loads like a genuine one.
+        real = PagingCrypto.unseal
+
+        def unseal_without_mac(self, enclave_id, vaddr, sealed):
+            genuine = self._mac(sealed.enclave_id, sealed.vaddr,
+                                sealed.version, sealed.nonce,
+                                sealed.ciphertext)
+            return real(self, enclave_id, vaddr,
+                        dataclasses.replace(sealed, mac=genuine))
+
+        monkeypatch.setattr(PagingCrypto, "unseal", unseal_without_mac)
+
+    @pytest.mark.parametrize("trace, minimal", [
+        # §5.2.1: resume restores every page verified, or fails stop.
+        (("req:0", "suspend", "forge", "req:1", "resume"),
+         ("suspend", "forge", "resume")),
+        # A forged swapped-out page must abort the load that probes it.
+        (("req:0", "tamper", "req:0"), ("req:0", "tamper", "req:0")),
+    ])
+    def test_finds_a_forged_blob_consumed_without_abort(
+            self, monkeypatch, trace, minimal):
+        self._skip_mac_checks(monkeypatch)
+        shortest, messages = minimize("pool", trace)
+        assert shortest == minimal
+        assert len(messages) == 1
+        assert messages[0].startswith("replica t0/r0 consumed forged blob")
+        assert messages[0].endswith(" without aborting")
+
     def test_quarantine_ladder_fails_over_to_the_sibling(self):
-        # Two tamper-under-suspension aborts on t0/r0: the first burns
-        # the restart budget (a recovery), the second quarantines the
+        # Two forged-suspend-set aborts on t0/r0: the first burns the
+        # restart budget (a recovery), the second quarantines the
         # replica, and the next request must elect the sibling.
-        trace = ("suspend", "tamper", "resume") * 2 + ("req:0",)
+        trace = ("suspend", "forge", "resume") * 2 + ("req:0",)
         world = poolworld.replay("pool", trace)
+        service = world.service
         assert world.violations == []
         assert poolworld.check_world(world) == []
-        assert world.recoveries[0] == 1
-        assert world.quarantines[0] == 1
-        assert world.failovers[0] == 1
-        assert world.served[0] == 1
-        assert world.last_primary[0] == 1
+        assert service.metrics.recoveries == 1
+        assert service.metrics.quarantines == 1
+        assert service.metrics.replica_resumes == 0
+        tenant = world.tenant(0)
+        assert tenant.aborts == 2
+        pool = service.pool(tenant)
+        assert pool.failovers == 1
+        assert pool.last_primary == 1
+        assert service.metrics.completed + service.metrics.degraded == 1
+        assert not any(event[1:] == ("resume", "epc-full")
+                       for event in service.skipped_events)
 
     def test_pool_down_request_sheds_structurally(self):
         # Suspend both of tenant 0's replicas: a request must shed,
         # never crash (the unguarded-failover case, exercised live).
         world = poolworld.replay("pool", ("suspend", "suspend", "req:0"))
+        metrics = world.service.metrics
         assert world.violations == []
-        assert world.issued[0] == 1
-        assert world.shed[0] == 1
-        assert world.served[0] == 0
+        assert metrics.replica_suspends == 2
+        assert metrics.submitted == 1
+        assert metrics.shed_by_reason == {"pool-unavailable": 1}
+        assert metrics.completed + metrics.degraded == 0
 
     def test_retire_then_arrive_round_trip(self):
         world = poolworld.replay("pool", ("retire",))
         assert world.violations == []
-        assert world.departed[1]
-        assert world.departures == 1
+        assert world.tenant(1) is None
+        assert world.service.metrics.departures == 1
         assert "req:1" not in poolworld.enabled_actions(world)
         assert "arrive" in poolworld.enabled_actions(world)
         back = poolworld.successor(world, "arrive")
         assert back.violations == []
-        assert back.arrivals == 1
-        assert not back.departed[1]
+        assert back.service.metrics.arrivals == 1
+        assert back.tenant(1) is not None
         assert poolworld.check_world(back) == []
+        # The re-admitted tenant can be retired again.
+        again = poolworld.successor(back, "retire")
+        assert again.service.metrics.departures == 2
+        assert again.tenant(1) is None
 
     def test_storm_costs_cycles_never_correctness(self):
         stormed = poolworld.replay("pool", ("storm", "req:0"))
+        metrics = stormed.service.metrics
         assert stormed.violations == []
-        assert stormed.aex == poolworld.STORM_ROUNDS
-        assert stormed.served[0] == 1
+        assert metrics.aex_interrupts == poolworld.STORM_ROUNDS
+        assert metrics.completed + metrics.degraded == 1
 
     def test_unknown_world_is_rejected(self):
         with pytest.raises(SgxError):

@@ -621,6 +621,64 @@ class TestPooledFailover:
         assert again.digest == result.digest
 
 
+class TestForgedSuspendSet:
+    """§5.2.1: resume restores every suspended page verified, or fails
+    stop.  A forged suspend-set blob must send the replica through the
+    abort pipeline, not be logged as an EPC-full skip that leaves it
+    suspended forever while holding the frames restored so far."""
+
+    @pytest.mark.parametrize("max_restarts", [3, 0])
+    def test_forged_blob_aborts_the_resume(self, max_restarts):
+        import dataclasses
+
+        from repro.recovery.supervisor import QUARANTINED, RestartPolicy
+
+        service = EnclaveService(ServiceConfig(
+            tenants=default_tenants(2, replicas=2), epc_pages=640,
+            fault_plan=ServiceFaultPlan(seed=0, ticks=0, events=()),
+        ))
+        service.recovery.restart_policy = RestartPolicy(
+            max_restarts=max_restarts)
+        service.boot()
+        tenant = service.tenants[0]
+        pool = service.pool(tenant)
+        handle = pool.replicas[0]
+        service.apply_fault(ServiceFaultEvent(
+            ServiceFaultKind.REPLICA_SUSPEND, 0, tenant.index, param=0))
+        assert handle.suspended
+        enclave = service.recovery.member(handle.member_name) \
+            .runtime.enclave
+        # Forge the last blob resume restores, after every other page
+        # of the suspend set is back in EPC.
+        forged = service.kernel.driver.state(enclave).suspend_set[-1]
+        backing = service.kernel.backing
+        blob = backing.get(enclave.enclave_id, forged)
+        backing.substitute(enclave.enclave_id, forged,
+                           dataclasses.replace(blob, mac="forged"))
+        service.apply_fault(ServiceFaultEvent(
+            ServiceFaultKind.REPLICA_RESUME, 0, tenant.index, param=0))
+
+        assert (0, "resume", "epc-full") not in service.skipped_events
+        assert not handle.suspended
+        assert service.metrics.replica_resumes == 0
+        assert tenant.aborts == 1
+        record = service.recovery.member(handle.member_name)
+        if max_restarts:
+            assert record.state == RUNNING
+            assert service.metrics.recoveries == 1
+        else:
+            assert record.state == QUARANTINED
+            assert service.metrics.quarantines == 1
+        assert service.check_invariants() == []
+        # The tenant keeps serving: on the recovered replica, or on
+        # its sibling once the forged one is quarantined.
+        service.submit(tenant)
+        service.dispatch()
+        assert service.metrics.completed + service.metrics.degraded == 1
+        assert pool.last_primary == (0 if max_restarts else 1)
+        assert service.check_invariants() == []
+
+
 class TestFrozenWitness:
     def test_pool_failover_witness_replays_green(self, capsys):
         from repro.service.cli import run

@@ -118,3 +118,21 @@ class TestPagingCrypto:
         foreign = crypto_a.seal(1, 0x1000, "x")
         with pytest.raises(IntegrityError):
             crypto_b.unseal(1, 0x1000, foreign)
+
+    def test_deep_copy_keeps_genuine_blobs_genuine(self):
+        # A model checker's successor world is a deep copy: the copied
+        # blob's mutable ciphertext (a TCS page) is a new object, and
+        # the copy must still verify; a forged copy must still fail.
+        import copy
+        import dataclasses
+        crypto = PagingCrypto()
+        genuine = crypto.seal(1, 0x1000, Tcs())
+        forged = dataclasses.replace(
+            crypto.seal(1, 0x2000, Tcs()), mac="forged")
+        crypto_copy, genuine_copy, forged_copy = copy.deepcopy(
+            (crypto, genuine, forged))
+        assert genuine_copy.ciphertext is not genuine.ciphertext
+        assert crypto_copy.unseal(1, 0x1000, genuine_copy) \
+            is genuine_copy.ciphertext
+        with pytest.raises(IntegrityError):
+            crypto_copy.unseal(1, 0x2000, forged_copy)
