@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from repro.clock import Category
 from repro.errors import EpcExhausted, SgxError
 from repro.sgx.epcm import Permissions
-from repro.sgx.params import PAGE_SIZE, page_base, vpn_of
+from repro.sgx.params import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_base, vpn_of
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
     """A declared range of enclave virtual memory."""
 
@@ -36,10 +36,18 @@ class Region:
     npages: int
     writable: bool = True
     executable: bool = False
+    #: Derived once: the vpn bounds ``[first_vpn, end_vpn)`` and the
+    #: EPCM permissions every page of the region is loaded with.
+    first_vpn: int = field(init=False, repr=False, compare=False)
+    end_vpn: int = field(init=False, repr=False, compare=False)
+    perms: Permissions = field(init=False, repr=False, compare=False)
 
-    def contains_vpn(self, vpn):
-        first = vpn_of(self.start)
-        return first <= vpn < first + self.npages
+    def __post_init__(self):
+        first = self.start >> PAGE_SHIFT
+        object.__setattr__(self, "first_vpn", first)
+        object.__setattr__(self, "end_vpn", first + self.npages)
+        object.__setattr__(self, "perms", Permissions(
+            True, self.writable, self.executable))
 
 
 @dataclass
@@ -61,7 +69,7 @@ class EnclaveHostState:
 
     def region_for(self, vpn):
         for region in self.regions:
-            if region.contains_vpn(vpn):
+            if region.first_vpn <= vpn < region.end_vpn:
                 return region
         return None
 
@@ -156,13 +164,10 @@ class SgxDriver:
             raise SgxError(
                 f"driver may not evict enclave-managed page {vaddr:#x}"
             )
-        base = page_base(vaddr)
         # The architectural eviction sequence: EBLOCK (no new TLB
-        # fills), unmap + shootdown (ETRACK/IPIs), then EWB.
-        self.instr.eblock(enclave, base)
-        self.page_table.drop(base)
-        sealed = self.instr.ewb(enclave, base)
-        self.backing.put(enclave.enclave_id, base, sealed)
+        # fills), unmap + shootdown (ETRACK/IPIs), EWB, then store.
+        self.instr.ewb_run(enclave, (page_base(vaddr),), self.page_table,
+                           self.backing)
         state.fifo_discard(vpn)
         self.pages_out += 1
         self.clock.charge(self.cost.pte_update, Category.OS)
@@ -271,7 +276,7 @@ class SgxDriver:
         as a JIT or loader would do)."""
         if self.backing.has(enclave.enclave_id, base):
             sealed = self.backing.take(enclave.enclave_id, base)
-            self.instr.eldu(enclave, base, sealed, self._perms(region))
+            self.instr.eldu(enclave, base, sealed, region.perms)
         else:
             self.instr.eaug(enclave, base)
             self.instr.eaccept(enclave, base)
@@ -279,10 +284,6 @@ class SgxDriver:
                 # EMODPE can only extend, so the page becomes RWX; a
                 # hardening pass could EMODPR the W bit away afterwards.
                 self.instr.emodpe(enclave, base, Permissions.RWX)
-
-    @staticmethod
-    def _perms(region):
-        return Permissions(True, region.writable, region.executable)
 
     # -- Autarky IOCTLs (§5.2.1) -------------------------------------------
 
@@ -312,44 +313,100 @@ class SgxDriver:
     def ay_fetch_pages(self, enclave, vaddrs):
         """Batched page-in of enclave-managed pages (SGX1 path: the
         privileged ELDU runs in the driver).  The runtime must have
-        made room first via ay_evict_pages."""
+        made room first via ay_evict_pages.
+
+        Pages load in request order; resident and repeated pages are
+        skipped.  A page the enclave does not manage is refused after
+        every page before it has loaded."""
         state = self.state(enclave)
+        bases, refused = self._plan_batch(state, enclave, vaddrs, False)
         fetched = []
-        for vaddr in vaddrs:
-            base = page_base(vaddr)
-            vpn = vpn_of(base)
-            if vpn not in state.enclave_managed:
-                raise SgxError(
-                    f"ay_fetch_pages on non-enclave-managed {base:#x}"
-                )
-            if vpn in enclave.backed:
-                continue
-            self.make_room(enclave, 1)
-            region = state.region_for(vpn)
-            self._load_frame(enclave, base, region)
-            self.map_page(enclave, base, region)
-            self.pages_in += 1
-            fetched.append(base)
+        try:
+            self._load_pages(state, enclave, bases, fetched)
+        finally:
+            self.pages_in += len(fetched)
+        if refused is not None:
+            raise SgxError(
+                f"ay_fetch_pages on non-enclave-managed {refused:#x}"
+            )
         return fetched
+
+    @staticmethod
+    def _plan_batch(state, enclave, vaddrs, resident):
+        """The page bases a batched IOCTL acts on, in request order:
+        each requested page once, when its residency is ``resident``,
+        up to the first page the enclave does not manage.  That page's
+        base is returned as the refusal, which the IOCTL raises once
+        the pages before it are done (reads only: nothing the batch
+        does changes which pages the plan picks)."""
+        managed = state.enclave_managed
+        backed = enclave.backed
+        bases = []
+        planned = set()
+        for vaddr in vaddrs:
+            base = vaddr & PAGE_MASK
+            vpn = base >> PAGE_SHIFT
+            if vpn not in managed:
+                return bases, base
+            if (vpn in backed) is resident and vpn not in planned:
+                planned.add(vpn)
+                bases.append(base)
+        return bases, None
+
+    def _load_pages(self, state, enclave, bases, loaded):
+        """Load and map non-resident pages in order, appending each base
+        to ``loaded`` as it completes.
+
+        A stretch of swapped-out pages in one region that fits under
+        the quota loads as one ELDU run.  ``make_room(1)`` runs before
+        every page that would not fit, exactly where the page-at-a-time
+        loop ran it with effect (skipping it is only sound while
+        ``len(backed) + 1 <= quota``, its loop condition; one
+        ``make_room(n)`` up front would evict more eagerly and, the EPC
+        free list being LIFO, reorder PFN assignment).  First-touch
+        pages are zero-filled one at a time."""
+        backed = enclave.backed
+        enclave_id = enclave.enclave_id
+        quota = state.quota_pages
+        has = self.backing.has
+        i, n = 0, len(bases)
+        while i < n:
+            if len(backed) >= quota:
+                self.make_room(enclave, 1)
+            base = bases[i]
+            region = state.region_for(base >> PAGE_SHIFT)
+            if not has(enclave_id, base):
+                self._load_frame(enclave, base, region)
+                self.map_page(enclave, base, region)
+                loaded.append(base)
+                i += 1
+                continue
+            first, end = region.first_vpn, region.end_vpn
+            stop = min(n, i + quota - len(backed))
+            j = i + 1
+            while (j < stop and first <= bases[j] >> PAGE_SHIFT < end
+                   and has(enclave_id, bases[j])):
+                j += 1
+            self.instr.eldu_run(enclave, bases[i:j], region.perms,
+                                self.backing.take, self.page_table, loaded)
+            i = j
 
     def ay_evict_pages(self, enclave, vaddrs):
         """Batched eviction of enclave-managed pages at the enclave's
-        request (SGX1 path)."""
+        request (SGX1 path): one EBLOCK→drop→EWB→store run over the
+        resident pages, in request order."""
         state = self.state(enclave)
-        for vaddr in vaddrs:
-            base = page_base(vaddr)
-            vpn = vpn_of(base)
-            if vpn not in state.enclave_managed:
-                raise SgxError(
-                    f"ay_evict_pages on non-enclave-managed {base:#x}"
-                )
-            if vpn not in enclave.backed:
-                continue
-            self.instr.eblock(enclave, base)
-            self.page_table.drop(base)
-            sealed = self.instr.ewb(enclave, base)
-            self.backing.put(enclave.enclave_id, base, sealed)
-            self.pages_out += 1
+        bases, refused = self._plan_batch(state, enclave, vaddrs, True)
+        evicted = []
+        try:
+            self.instr.ewb_run(enclave, bases, self.page_table,
+                               self.backing, evicted)
+        finally:
+            self.pages_out += len(evicted)
+        if refused is not None:
+            raise SgxError(
+                f"ay_evict_pages on non-enclave-managed {refused:#x}"
+            )
 
     # -- SGX2 privileged halves (used by the runtime's SGX2 paging ops) ----
 
@@ -436,34 +493,71 @@ class SgxDriver:
         """Swap out the entire enclave (all pages, pinned or not)."""
         state = self.state(enclave)
         state.suspended = True
-        state.suspend_set = []
-        for vpn in list(enclave.backed):
-            base = vpn << 12
-            self.evict_page(enclave, base)
-            state.suspend_set.append(base)
+        state.suspend_set = evicted = []
+        try:
+            self.instr.ewb_run(
+                enclave, [vpn << PAGE_SHIFT for vpn in enclave.backed],
+                self.page_table, self.backing, evicted,
+            )
+        finally:
+            for base in evicted:
+                state.fifo_discard(base >> PAGE_SHIFT)
+            self.pages_out += len(evicted)
+            if evicted:
+                self.clock.charge(len(evicted) * self.cost.pte_update,
+                                  Category.OS)
 
     def resume_enclave(self, enclave):
         """Restore every page evicted at suspension before the enclave
-        may run again — the contract that makes suspension safe."""
+        may run again — the contract that makes suspension safe.
+
+        The restore needs one free EPC frame per page.  When the EPC
+        cannot hold it, the resume is refused before any blob is
+        taken: the enclave stays suspended with nothing restored, and
+        a later resume (once EPC is freed) can still succeed."""
         state = self.state(enclave)
         if not state.suspended:
             raise SgxError("resume of a non-suspended enclave")
-        for base in state.suspend_set:
-            vpn = vpn_of(base)
-            region = state.region_for(vpn)
-            sealed = self.backing.take(enclave.enclave_id, base)
-            if region is None:
-                # Metadata pages (TCS) live outside declared regions:
-                # reload the frame but install no user mapping.
-                self.instr.eldu(enclave, base, sealed, Permissions.RW)
-            else:
-                self.instr.eldu(enclave, base, sealed,
-                                self._perms(region))
-                self.map_page(enclave, base, region)
-            if vpn not in state.enclave_managed:
-                state.fifo_add(vpn)
-            self.pages_in += 1
-        restored = list(state.suspend_set)
+        suspend_set = state.suspend_set
+        free = self.instr.epc.free_pages
+        if free < len(suspend_set):
+            raise EpcExhausted(
+                f"resume needs {len(suspend_set)} EPC pages, "
+                f"{free} free"
+            )
+        restored = []
+        try:
+            for region, bases in self._region_runs(state, suspend_set):
+                if region is None:
+                    # Metadata pages (TCS) live outside declared
+                    # regions: reload the frame but install no user
+                    # mapping.
+                    self.instr.eldu_run(enclave, bases, Permissions.RW,
+                                        self.backing.take, None, restored)
+                else:
+                    self.instr.eldu_run(enclave, bases, region.perms,
+                                        self.backing.take, self.page_table,
+                                        restored)
+        finally:
+            managed = state.enclave_managed
+            for base in restored:
+                vpn = base >> PAGE_SHIFT
+                if vpn not in managed:
+                    state.fifo_add(vpn)
+            self.pages_in += len(restored)
         state.suspend_set = []
         state.suspended = False
         return restored
+
+    @staticmethod
+    def _region_runs(state, bases):
+        """Split ``bases`` into maximal consecutive runs of pages in one
+        declared region (``None``: outside every region)."""
+        runs = []
+        for base in bases:
+            region = state.region_for(base >> PAGE_SHIFT)
+            if runs and runs[-1][0] is region:
+                runs[-1][1].append(base)
+            else:
+                runs.append((region, [base]))
+        return runs

@@ -22,7 +22,7 @@ from repro.errors import AttackDetected, IntegrityError, SgxError
 from repro.runtime.backoff import RetryPolicy, call_with_retry
 from repro.sgx.crypto import PagingCrypto
 from repro.sgx.epcm import Permissions
-from repro.sgx.params import SgxVersion, page_base
+from repro.sgx.params import PAGE_MASK, SgxVersion, page_base
 
 
 class PagingOps:
@@ -75,13 +75,13 @@ class Sgx1PagingOps(PagingOps):
         if not vaddrs:
             return []
         return self._host_call("ay_fetch_pages",
-                               [page_base(v) for v in vaddrs])
+                               [v & PAGE_MASK for v in vaddrs])
 
     def evict_batch(self, vaddrs):
         if not vaddrs:
             return
         self._host_call("ay_evict_pages",
-                        [page_base(v) for v in vaddrs])
+                        [v & PAGE_MASK for v in vaddrs])
 
 
 class Sgx2PagingOps(PagingOps):

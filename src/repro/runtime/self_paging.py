@@ -32,7 +32,13 @@ from repro.errors import (
     PinnedExhaustion,
     PolicyError,
 )
-from repro.sgx.params import EVICTION_BATCH, page_base, vpn_of
+from repro.sgx.params import (
+    EVICTION_BATCH,
+    PAGE_MASK,
+    PAGE_SHIFT,
+    page_base,
+    vpn_of,
+)
 
 
 class EvictionOrder(enum.Enum):
@@ -151,13 +157,14 @@ class SelfPager:
 
         Returns the list of page bases actually fetched.  The unit is
         recorded so its pages are evicted together later."""
-        missing = [page_base(v) for v in vaddrs
-                   if vpn_of(v) not in self._resident]
+        resident = self._resident
+        missing = [v & PAGE_MASK for v in vaddrs
+                   if v >> PAGE_SHIFT not in resident]
         if not missing:
             return []
         self.make_room(len(missing))
         self._fetch_degrading(missing)
-        vpns = tuple(vpn_of(b) for b in missing)
+        vpns = tuple([base >> PAGE_SHIFT for base in missing])
         self._resident.update(vpns)
         self._claimed.update(vpns)
         if pin:
@@ -211,8 +218,8 @@ class SelfPager:
         if not pages:
             return 0
         self.ops.evict_batch(pages)
-        for vaddr in pages:
-            self._resident.discard(vpn_of(vaddr))
+        self._resident.difference_update(
+            [vaddr >> PAGE_SHIFT for vaddr in pages])
         self.evictions += len(pages)
         return len(pages)
 

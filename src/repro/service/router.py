@@ -259,7 +259,16 @@ class EnclaveService:
     def arrive(self, spec):
         """Boot a new tenant mid-run.  Headroom is ballooned first; a
         boot the EPC cannot hold is *refused* structurally (partial
-        pool reclaimed, counter bumped) — never a crash."""
+        pool reclaimed, counter bumped) — never a crash.  So is a
+        tenant whose name a live tenant already holds, before anything
+        boots: pools and recovery members are keyed by name."""
+        if any(t.spec.name == spec.name and not t.departed
+               for t in self.tenants):
+            self.metrics.arrival_refusals += 1
+            self.skipped_events.append(
+                (self.tick, "arrive-refused", spec.name, "duplicate-name")
+            )
+            return False
         tenant = Tenant(spec, self._next_index, self.config.seed)
         self._next_index += 1
         self.tenants.append(tenant)

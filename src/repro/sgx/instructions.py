@@ -18,7 +18,7 @@ from repro.errors import SgxError
 from repro.sgx.enclave import Enclave
 from repro.sgx.epcm import PageType, Permissions
 from repro.sgx.epoch import TranslationEpoch
-from repro.sgx.params import PAGE_SIZE, page_base, vpn_of
+from repro.sgx.params import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, vpn_of
 from repro.sgx.tcs import Tcs
 
 
@@ -108,6 +108,16 @@ class SgxInstructions:
         entry.blocked = True
         self._observe("eblock", enclave, vaddr)
 
+    # EWB and ELDU each have one implementation: a run over a page
+    # vector (ewb_run / eldu_run), of which the single-page methods are
+    # the 1-element case.  A run performs every per-page check, epoch
+    # bump and observer call at the same point in the same order as a
+    # sequence of single-page calls would, but charges the clock once,
+    # in a ``finally``, for exactly the pages that reached the per-page
+    # charge point.  Nothing reads the clock inside a run, so the totals
+    # and every reading taken outside one are those of the per-page
+    # sequence, even when a page in the middle is refused.
+
     def ewb(self, enclave, vaddr):
         """Evict a page: seal contents, free the frame, return the blob.
 
@@ -117,43 +127,121 @@ class SgxInstructions:
         We verify the latter directly against the TLB when the kernel
         registered one.
         """
-        self.epoch.value += 1
-        self.clock.charge(self.cost.ewb, Category.SGX_PAGING)
-        vpn = vpn_of(vaddr)
-        pfn = enclave.backed.get(vpn)
-        if pfn is None:
-            raise SgxError(f"EWB: {vaddr:#x} not backed by EPC")
-        entry = self.epcm.entry(pfn)
-        if not entry.blocked:
-            raise SgxError(
-                f"EWB: {vaddr:#x} not blocked (EBLOCK required first)"
-            )
-        if self.tlb is not None and page_base(vaddr) in self.tlb:
-            raise SgxError(
-                f"EWB: stale TLB translation for {vaddr:#x} "
-                "(ETRACK shootdown incomplete)"
-            )
-        frame = self.epc.frame(pfn)
-        sealed = self.hw_crypto.seal(
-            enclave.enclave_id, page_base(vaddr), frame.contents
-        )
-        entry.valid = False
-        entry.blocked = False
-        self.epc.free(frame)
-        del enclave.backed[vpn]
-        self._observe("ewb", enclave, vaddr)
-        return sealed
+        return self.ewb_run(enclave, (vaddr,))[0]
+
+    def ewb_run(self, enclave, vaddrs, page_table=None, backing=None,
+                done=None):
+        """EWB over a page vector, in order.
+
+        Without ``page_table`` every page must already be EBLOCKed and
+        shot down, and the sealed blobs are returned.  With it, the run
+        is the whole eviction sequence of each page before the next
+        page is touched: EBLOCK (no new TLB fills), drop the mapping
+        (the ETRACK/IPI shootdown), EWB, and ``backing.put`` of the
+        blob — so no sealed blob is lost when a later page is refused.
+        ``done`` receives each page's base as it completes; after an
+        exception it holds exactly the completed prefix.
+        """
+        epoch = self.epoch
+        backed = enclave.backed
+        enclave_id = enclave.enclave_id
+        entry_of = self.epcm.entry
+        frame_of = self.epc.frame
+        free = self.epc.free
+        seal = self.hw_crypto.seal
+        tlb = self.tlb
+        observe = self.op_observer
+        blobs = []
+        charged = 0
+        try:
+            for vaddr in vaddrs:
+                base = vaddr & PAGE_MASK
+                if page_table is not None:
+                    self.eblock(enclave, vaddr)
+                    page_table.drop(base)
+                epoch.value += 1
+                charged += 1
+                vpn = vaddr >> PAGE_SHIFT
+                pfn = backed.get(vpn)
+                if pfn is None:
+                    raise SgxError(f"EWB: {vaddr:#x} not backed by EPC")
+                entry = entry_of(pfn)
+                if not entry.blocked:
+                    raise SgxError(
+                        f"EWB: {vaddr:#x} not blocked (EBLOCK required "
+                        "first)"
+                    )
+                if tlb is not None and base in tlb:
+                    raise SgxError(
+                        f"EWB: stale TLB translation for {vaddr:#x} "
+                        "(ETRACK shootdown incomplete)"
+                    )
+                frame = frame_of(pfn)
+                sealed = seal(enclave_id, base, frame.contents)
+                entry.valid = False
+                entry.blocked = False
+                free(frame)
+                del backed[vpn]
+                if observe is not None:
+                    observe("ewb", enclave, vaddr)
+                if backing is None:
+                    blobs.append(sealed)
+                else:
+                    backing.put(enclave_id, base, sealed)
+                if done is not None:
+                    done.append(base)
+        finally:
+            if charged:
+                self.clock.charge(charged * self.cost.ewb,
+                                  Category.SGX_PAGING)
+        return blobs
 
     def eldu(self, enclave, vaddr, sealed, perms=Permissions.RW):
         """Reload an evicted page, verifying integrity and freshness."""
-        self._check_range(enclave, vaddr)
-        self.clock.charge(self.cost.eldu, Category.SGX_PAGING)
-        contents = self.hw_crypto.unseal(
-            enclave.enclave_id, page_base(vaddr), sealed
-        )
-        pfn = self._install(enclave, vaddr, contents, perms, PageType.REG)
-        self._observe("eldu", enclave, vaddr)
-        return pfn
+        self.eldu_run(enclave, (vaddr,), perms, lambda _eid, _va: sealed)
+        return enclave.backed[vaddr >> PAGE_SHIFT]
+
+    def eldu_run(self, enclave, vaddrs, perms, take, page_table=None,
+                 done=None):
+        """ELDU over a page vector, in order, every page with ``perms``.
+
+        ``take(enclave_id, vaddr)`` hands over each page's sealed blob
+        when its turn comes (the backing store's ``take``), so a page
+        refused at position k leaves the blobs after k untouched.  With
+        ``page_table`` each page is mapped as soon as it is installed,
+        with PTE bits matching ``perms`` and, for a self-paging enclave,
+        accessed/dirty pre-set (the driver's ``map_page``).  ``done``
+        receives each page's base as it completes.
+        """
+        enclave_id = enclave.enclave_id
+        base_lo, base_hi = enclave.base, enclave.limit
+        unseal = self.hw_crypto.unseal
+        install = self._install
+        observe = self.op_observer
+        if page_table is not None:
+            map_pte = page_table.map
+            writable, executable = perms.write, perms.execute
+            pre_set = enclave.self_paging
+        charged = 0
+        try:
+            for vaddr in vaddrs:
+                sealed = take(enclave_id, vaddr)
+                if not base_lo <= vaddr < base_hi:
+                    self._check_range(enclave, vaddr)
+                charged += 1
+                contents = unseal(enclave_id, vaddr & PAGE_MASK, sealed)
+                pfn = install(enclave, vaddr, contents, perms, PageType.REG)
+                if observe is not None:
+                    observe("eldu", enclave, vaddr)
+                if page_table is not None:
+                    map_pte(vaddr, pfn, writable, executable, pre_set,
+                            pre_set)
+                if done is not None:
+                    done.append(vaddr)
+        finally:
+            if charged:
+                self.clock.charge(charged * self.cost.eldu,
+                                  Category.SGX_PAGING)
 
     # -- SGX2 dynamic memory management ------------------------------------
 
@@ -262,7 +350,7 @@ class SgxInstructions:
         if vaddr % PAGE_SIZE:
             raise SgxError(f"unaligned enclave page {vaddr:#x}")
         self.epoch.value += 1
-        vpn = vpn_of(vaddr)
+        vpn = vaddr >> PAGE_SHIFT
         if vpn in enclave.backed:
             raise SgxError(f"{vaddr:#x} already backed by EPC")
         frame = self.epc.alloc()
@@ -280,7 +368,7 @@ class SgxInstructions:
         return frame.pfn
 
     def _entry_for(self, enclave, vaddr):
-        pfn = enclave.backed.get(vpn_of(vaddr))
+        pfn = enclave.backed.get(vaddr >> PAGE_SHIFT)
         if pfn is None:
             raise SgxError(f"{vaddr:#x} not backed by EPC")
         return self.epcm.entry(pfn)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro.clock import Category
 from repro.errors import EpcmViolation, PageFault
-from repro.sgx.params import PAGE_SHIFT, AccessType, page_base
+from repro.sgx.params import PAGE_MASK, PAGE_SHIFT, AccessType
 
 
 class Mmu:
@@ -180,50 +180,67 @@ class Mmu:
         return pfn, fault
 
     def _walk(self, vaddr, access, enclave):
-        self.walks += 1
-        self.clock.charge(self.cost.tlb_fill, Category.TLB_FILL)
+        """The TLB-miss walk; returns ``(pfn, fault)``.
 
+        Its cycles (the fill, plus the Autarky A/D check when one runs)
+        are charged in one ``TLB_FILL`` charge as the walk ends: nothing
+        reads the clock in between.
+        """
+        self.walks += 1
+        cycles = self.cost.tlb_fill
+        fault = None
         pte = self.page_table.lookup(vaddr)
         if pte is None or not pte.present:
-            return None, PageFault(
+            fault = PageFault(
                 vaddr,
                 write=access is AccessType.WRITE,
                 exec_=access is AccessType.EXEC,
                 present=False,
                 reason="not present",
             )
-        if not pte.allows(access):
-            return None, PageFault(
+        elif not pte.allows(access):
+            fault = PageFault(
                 vaddr,
                 write=access is AccessType.WRITE,
                 exec_=access is AccessType.EXEC,
                 present=True,
                 reason="protection",
             )
-
-        in_enclave_region = enclave is not None and enclave.contains(vaddr)
-        if in_enclave_region:
+        elif enclave is not None and enclave.contains(vaddr):
             fault = self._sgx_checks(vaddr, access, pte, enclave)
-            if fault is not None:
-                return None, fault
-            if enclave.self_paging:
-                fault = self._autarky_ad_check(vaddr, access, pte)
-                if fault is not None:
-                    return None, fault
-            else:
+            if fault is None and enclave.self_paging:
+                # §5.1.4: both bits must already be set or the PTE is
+                # invalid.  The check piggybacks on the EPCM lookup
+                # (already SGX-specific), so it costs a fixed few
+                # cycles per fill and touches no core MMU path.  A/D
+                # are never written back for self-paging enclaves,
+                # which prevents the TOCTOU §5.1.4 discusses.
+                self.ad_checks += 1
+                cycles += self.cost.autarky_ad_check
+                if not (pte.accessed and pte.dirty):
+                    fault = PageFault(
+                        vaddr,
+                        write=access is AccessType.WRITE,
+                        exec_=access is AccessType.EXEC,
+                        present=True,
+                        reason="accessed/dirty cleared (Autarky)",
+                    )
+            elif fault is None:
                 # Legacy behaviour: hardware sets A (and D on writes) —
                 # the observable the fault-free attack samples.
                 self._update_ad(vaddr, pte, access)
         else:
             self._update_ad(vaddr, pte, access)
-
+        self.clock.charge(cycles, Category.TLB_FILL)
+        if fault is not None:
+            return None, fault
         self.tlb.install(vaddr, pte.pfn, pte.writable, pte.executable)
         return pte.pfn, None
 
     def _sgx_checks(self, vaddr, access, pte, enclave):
         try:
             self.epcm.check_access(
-                pte.pfn, enclave.enclave_id, page_base(vaddr), access
+                pte.pfn, enclave.enclave_id, vaddr & PAGE_MASK, access
             )
         except EpcmViolation as exc:
             fault = PageFault(
@@ -235,27 +252,6 @@ class Mmu:
             )
             fault.__cause__ = exc
             return fault
-        return None
-
-    def _autarky_ad_check(self, vaddr, access, pte):
-        """§5.1.4: both bits must already be set or the PTE is invalid.
-
-        The check piggybacks on the EPCM lookup (already SGX-specific),
-        so it costs a fixed few cycles per fill and touches no core MMU
-        path.  We also never write A/D back for self-paging enclaves,
-        honouring the assumption that prevents the TOCTOU §5.1.4
-        discusses.
-        """
-        self.ad_checks += 1
-        self.clock.charge(self.cost.autarky_ad_check, Category.TLB_FILL)
-        if not (pte.accessed and pte.dirty):
-            return PageFault(
-                vaddr,
-                write=access is AccessType.WRITE,
-                exec_=access is AccessType.EXEC,
-                present=True,
-                reason="accessed/dirty cleared (Autarky)",
-            )
         return None
 
     # Setting A/D bits to True is monotone-permissive: it can only

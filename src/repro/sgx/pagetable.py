@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.errors import SgxError
 from repro.sgx.epoch import TranslationEpoch
-from repro.sgx.params import AccessType, vpn_of
+from repro.sgx.params import PAGE_SHIFT, AccessType, vpn_of
 
 
 class Pte:
@@ -74,7 +74,7 @@ class PageTable:
 
     def lookup(self, vaddr):
         """Return the PTE covering ``vaddr`` or ``None`` if unmapped."""
-        return self._ptes.get(vpn_of(vaddr))
+        return self._ptes.get(vaddr >> PAGE_SHIFT)
 
     def mapped_vpns(self):
         """All VPNs with a present mapping (attacker enumeration)."""
@@ -85,16 +85,10 @@ class PageTable:
     def map(self, vaddr, pfn, writable=True, executable=False,
             accessed=False, dirty=False):
         self.epoch.value += 1
-        vpn = vpn_of(vaddr)
-        self._ptes[vpn] = Pte(
-            pfn=pfn,
-            present=True,
-            writable=writable,
-            executable=executable,
-            accessed=accessed,
-            dirty=dirty,
+        pte = self._ptes[vaddr >> PAGE_SHIFT] = Pte(
+            pfn, True, writable, executable, accessed, dirty,
         )
-        return self._ptes[vpn]
+        return pte
 
     def unmap(self, vaddr):
         """Clear the present bit (keeps the PFN for later remap)."""
@@ -112,7 +106,7 @@ class PageTable:
     def drop(self, vaddr):
         """Remove the PTE entirely (page fully deallocated)."""
         self.epoch.value += 1
-        self._ptes.pop(vpn_of(vaddr), None)
+        self._ptes.pop(vaddr >> PAGE_SHIFT, None)
         self._shootdown(vaddr)
         if self.op_observer is not None:
             self.op_observer("drop", vaddr)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EpcExhausted, SgxError
+from repro.host.kernel import HostKernel
 from repro.sgx.params import PAGE_SIZE
 
 BASE = 0x1000_0000
@@ -185,6 +186,45 @@ class TestSuspendResume:
     def test_resume_without_suspend_rejected(self, rig):
         with pytest.raises(SgxError):
             rig.driver.resume_enclave(rig.enclave)
+
+    def test_resume_short_of_epc_is_refused_whole(self):
+        # A 12-page EPC: the enclave suspends 6 pages, then another
+        # enclave takes 7 of the 12 frames, leaving 5.
+        small = HostKernel(epc_pages=12)
+        driver = small.driver
+        enclave = driver.create_enclave(BASE, 16)
+        driver.declare_region(enclave, BASE, 16)
+        small.instr.einit(enclave)
+        for i in range(6):
+            driver.page_in(enclave, page(i))
+        driver.suspend_enclave(enclave)
+        other = driver.create_enclave(0x2000_0000, 16)
+        driver.declare_region(other, 0x2000_0000, 16)
+        small.instr.einit(other)
+        for i in range(7):
+            driver.page_in(other, 0x2000_0000 + i * PAGE_SIZE)
+        blobs = {
+            v: small.backing.get(enclave.enclave_id, v)
+            for v in small.backing.swapped_pages(enclave.enclave_id)
+        }
+        state = driver.state(enclave)
+        suspend_set = list(state.suspend_set)
+
+        with pytest.raises(EpcExhausted, match="needs 6 EPC pages, 5 free"):
+            driver.resume_enclave(enclave)
+        # Nothing taken, nothing restored: still suspended, whole.
+        assert enclave.backed == {}
+        assert small.epc.free_pages == 5
+        assert state.suspended and state.suspend_set == suspend_set
+        assert {
+            v: small.backing.get(enclave.enclave_id, v)
+            for v in small.backing.swapped_pages(enclave.enclave_id)
+        } == blobs
+
+        driver.reclaim_enclave(other)
+        assert driver.resume_enclave(enclave) == suspend_set
+        assert sorted(enclave.backed) == [page(i) >> 12 for i in range(6)]
+        assert not state.suspended
 
 
 class TestOsResolve:

@@ -573,6 +573,100 @@ class TestLiveChurn:
                    for event in service.skipped_events)
 
 
+    def test_duplicate_live_name_is_refused_before_boot(self):
+        service = EnclaveService(ServiceConfig(
+            seed=0, tenants=default_tenants(2), ticks=4,
+        ))
+        service.boot()
+        members = {r.name for r in service.recovery.fleet()}
+        free = service.kernel.epc.free_pages
+        pool = service.pool(service.tenants[0])
+
+        assert not service.arrive(TenantSpec(name="tenant-0"))
+
+        assert service.metrics.arrival_refusals == 1
+        assert service.metrics.arrivals == 0
+        assert service.skipped_events[-1] == (
+            0, "arrive-refused", "tenant-0", "duplicate-name")
+        # Nothing booted, nothing replaced.
+        assert len(service.tenants) == 2
+        assert {r.name for r in service.recovery.fleet()} == members
+        assert service.kernel.epc.free_pages == free
+        assert service.pool(service.tenants[0]) is pool
+        assert service.check_invariants() == []
+
+    def test_departed_name_may_arrive_again(self):
+        service = EnclaveService(ServiceConfig(
+            seed=0, tenants=default_tenants(2), ticks=4,
+        ))
+        service.boot()
+        service.retire("tenant-1")
+        assert service.arrive(TenantSpec(name="tenant-1"))
+        assert service.metrics.arrivals == 1
+        assert service.metrics.arrival_refusals == 0
+
+
+class TestResumeUnderEpcShortage:
+    """A resume the EPC cannot hold is refused before any blob is
+    taken: the replica stays suspended holding no frames, and resumes
+    once EPC is free again."""
+
+    def test_refused_resume_keeps_the_replica_whole(self):
+        # The other tenant is pinned and the suspended replica is the
+        # only one of its pool, so nothing can be balloon-shrunk: the
+        # resume's headroom step cannot free EPC behind the test's back.
+        service = EnclaveService(ServiceConfig(
+            tenants=[TenantSpec(name="a", policy="rate_limit"),
+                     TenantSpec(name="b", policy="pin_all")],
+            epc_pages=640,
+            fault_plan=ServiceFaultPlan(seed=0, ticks=0, events=()),
+        ))
+        service.boot()
+        tenant = service.tenants[0]
+        handle = service.pool(tenant).replicas[0]
+        service.apply_fault(ServiceFaultEvent(
+            ServiceFaultKind.REPLICA_SUSPEND, 0, tenant.index, param=0))
+        assert handle.suspended
+        kernel = service.kernel
+        enclave = service.recovery.member(handle.member_name) \
+            .runtime.enclave
+        suspend_set = list(kernel.driver.state(enclave).suspend_set)
+        swapped = kernel.backing.swapped_pages(enclave.enclave_id)
+
+        # Another enclave takes all but one frame fewer than the
+        # resume needs.
+        hog = kernel.driver.create_enclave(0x7000_0000, 1024)
+        kernel.driver.declare_region(hog, 0x7000_0000, 1024)
+        kernel.instr.einit(hog)
+        for i in range(kernel.epc.free_pages - len(suspend_set) + 1):
+            kernel.driver.page_in(hog, 0x7000_0000 + i * 4096)
+        assert kernel.epc.free_pages == len(suspend_set) - 1
+
+        service.apply_fault(ServiceFaultEvent(
+            ServiceFaultKind.REPLICA_RESUME, 0, tenant.index, param=0))
+        assert service.skipped_events[-1] == (0, "resume", "epc-full")
+        assert handle.suspended
+        assert enclave.backed == {}
+        assert kernel.driver.state(enclave).suspend_set == suspend_set
+        assert kernel.backing.swapped_pages(enclave.enclave_id) == swapped
+        assert service.metrics.replica_resumes == 0
+        assert service.check_invariants() == []
+
+        # EPC comes back: the same suspend set restores in full.
+        kernel.driver.reclaim_enclave(hog)
+        service.apply_fault(ServiceFaultEvent(
+            ServiceFaultKind.REPLICA_RESUME, 0, tenant.index, param=0))
+        assert not handle.suspended
+        assert service.metrics.replica_resumes == 1
+        assert sorted(enclave.backed) == sorted(
+            base >> 12 for base in suspend_set)
+        assert service.check_invariants() == []
+        service.submit(tenant)
+        service.dispatch()
+        assert service.metrics.completed + service.metrics.degraded == 1
+        assert service.check_invariants() == []
+
+
 # -- pooled fleets: failover under the pool fault family ----------------------
 
 def _pooled_config():

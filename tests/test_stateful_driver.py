@@ -8,7 +8,9 @@ checking the §5.2.1 contract after every step:
 * the quota is never exceeded;
 * EPC frames never leak or double-count;
 * contents survive arbitrary swap cycles (crypto accepted every blob);
-* the PTE view is consistent with residency for OS-managed pages.
+* the PTE view is consistent with residency for OS-managed pages;
+* a resume the EPC cannot hold is refused whole: nothing restored,
+  no blob taken, the enclave still suspended.
 """
 
 from hypothesis import settings
@@ -29,6 +31,8 @@ from repro.sgx.params import PAGE_SIZE
 BASE = 0x1000_0000
 NPAGES = 64
 QUOTA = 24
+#: Where a rule's short-lived second enclave takes EPC frames from.
+HOG = 0x4000_0000
 
 
 class DriverMachine(RuleBasedStateMachine):
@@ -124,6 +128,33 @@ class DriverMachine(RuleBasedStateMachine):
     def os_resumes(self):
         self.driver.resume_enclave(self.enclave)
         self.suspended = False
+
+    @precondition(lambda self: self.suspended)
+    @rule()
+    def os_resumes_short_of_epc(self):
+        """Another enclave leaves one frame too few: the resume is
+        refused before any blob is taken, and the suspension stays
+        whole (the next resume, with the frames back, restores it)."""
+        state = self.driver.state(self.enclave)
+        need = len(state.suspend_set)
+        if not need:
+            return
+        hog = self.driver.create_enclave(HOG, NPAGES * 4)
+        self.driver.declare_region(hog, HOG, NPAGES * 4)
+        self.kernel.instr.einit(hog)
+        for i in range(self.kernel.epc.free_pages - need + 1):
+            self.driver.page_in(hog, HOG + i * PAGE_SIZE)
+        suspend_set = list(state.suspend_set)
+        eid = self.enclave.enclave_id
+        blobs = {v: self.kernel.backing.get(eid, v)
+                 for v in self.kernel.backing.swapped_pages(eid)}
+        with pytest.raises(EpcExhausted):
+            self.driver.resume_enclave(self.enclave)
+        assert self.enclave.backed == {}
+        assert state.suspended and state.suspend_set == suspend_set
+        assert {v: self.kernel.backing.get(eid, v)
+                for v in self.kernel.backing.swapped_pages(eid)} == blobs
+        self.driver.reclaim_enclave(hog)
 
     # -- invariants ----------------------------------------------------------
 
