@@ -61,6 +61,13 @@ class Report:
 
     def render_text(self):
         lines = [f.render() for f in self.sorted_findings()]
+        for family, stats in sorted(
+                self.callgraph.get("fixpoints", {}).items()):
+            if not stats["converged"]:
+                lines.append(
+                    f"warning: the {family} fixpoint stopped at its "
+                    f"{stats['rounds']}-round bound before converging; "
+                    f"its findings may be incomplete")
         lines.append(
             f"{len(self.findings)} finding(s), "
             f"{self.suppressed} suppressed, "

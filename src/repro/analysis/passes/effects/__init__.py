@@ -30,6 +30,7 @@ class EffectsPass:
         self.config = config
         self._engine = None
         self._sites = {}
+        self.fixpoint = None
 
     def applies(self, module):
         return True
@@ -37,6 +38,7 @@ class EffectsPass:
     def prepare(self, project):
         self._engine = EffectEngine(project, self.config)
         self._engine.run()
+        self.fixpoint = self._engine.fixpoint
         self._sites = purity.find_runner_sites(project, self.config)
 
     def run(self, mod):

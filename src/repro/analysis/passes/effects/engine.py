@@ -5,8 +5,10 @@ per function body tracks the provenance of every local name (which
 ambient state it aliases, or :data:`~.model.LOCAL` for fresh objects),
 records ambient writes, and rebinds callee summaries at every resolved
 call site; :class:`EffectEngine` drives the walkers to a project-wide
-fixpoint in deterministic qualname order.  Summaries only grow, so the
-fixpoint is monotone; :data:`MAX_ROUNDS` bounds pathological chains.
+fixpoint with the shared :class:`~repro.analysis.fixpoint.Fixpoint`
+driver (a walk re-runs only when a callee summary it read has changed).
+Summaries only grow, so the fixpoint is monotone; :data:`MAX_ROUNDS`
+bounds pathological chains.
 
 On top of the data-effect walk, a structural *must-bump* pass decides
 epoch soundness: scanning each body in statement order, a path is
@@ -22,14 +24,15 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.fixpoint import Fixpoint
 from repro.analysis.walker import attr_chain
 from repro.analysis.passes.effects.model import (
     LOCAL, EffectSummary, cap, extend,
 )
 
-#: Fixpoint round bound (effects propagate one call hop per round; the
-#: deepest real chain — campaign point → system boot → ISA → state
-#: object — is comfortably inside this).
+#: Fixpoint round bound (effects propagate at least one call hop per
+#: round; the deepest real chain — campaign point → system boot → ISA →
+#: state object — is comfortably inside this).
 MAX_ROUNDS = 16
 
 #: Names resolving to builtins: results are locally constructed.
@@ -72,34 +75,23 @@ class EffectEngine:
         self.config = config
         #: qualname -> EffectSummary
         self.summaries = {}
-        #: qualname -> callee qualnames whose summaries it consumed
-        #: (drives the dirty set: a function is re-analyzed only when
-        #: one of its callees changed last round).
-        self.deps = {}
-        self.rounds = 0
+        self.fixpoint = None
 
     def run(self):
-        order = sorted(self.project.functions)
+        functions = self.project.functions
+        order = sorted(functions)
         for qual in order:
             self.summaries[qual] = EffectSummary()
-            self.deps[qual] = set()
-        to_run = list(order)
-        for _ in range(MAX_ROUNDS):
-            if not to_run:
-                break
-            self.rounds += 1
-            before = {q: self.summaries[q].snapshot() for q in order}
-            for qual in to_run:
-                _FunctionEffects(self, self.project.functions[qual]).run()
-            changed = {
-                q for q in order
-                if self.summaries[q].snapshot() != before[q]
-            }
-            to_run = [
-                q for q in order
-                if self.deps[q] & changed or q in changed
-            ]
+        self.fixpoint = Fixpoint(order, MAX_ROUNDS)
+        self.fixpoint.run(self._analyze)
         return self.summaries
+
+    def _analyze(self, qual):
+        summary = self.summaries[qual]
+        before = summary.snapshot()
+        _FunctionEffects(self, self.project.functions[qual]).run()
+        if summary.snapshot() != before:
+            self.fixpoint.changed(qual)
 
 
 class _FunctionEffects:
@@ -111,7 +103,7 @@ class _FunctionEffects:
         self.config = engine.config
         self.info = info
         self.summary = engine.summaries[info.qualname]
-        self._deps = engine.deps[info.qualname]
+        self._depend = engine.fixpoint.depend
         self.env = {}
         self._globals = set()
         self._stmt_stack = []
@@ -420,7 +412,7 @@ class _FunctionEffects:
             if summary is None:
                 continue
             handled = True
-            self._deps.add(callee.qualname)
+            self._depend(callee.qualname, self.info.qualname)
             constructor = (callee.name == "__init__"
                            and method != "__init__")
             this_recv = LOCAL if constructor else recv_prov
@@ -585,7 +577,7 @@ class _FunctionEffects:
         if not candidates:
             return False
         for c in candidates:
-            self._deps.add(c.qualname)
+            self._depend(c.qualname, self.info.qualname)
         return all(
             self.engine.summaries.get(c.qualname) is not None
             and self.engine.summaries[c.qualname].bumps

@@ -25,9 +25,12 @@ class LeakagePass:
     def __init__(self, config):
         self.config = config
         self._by_path = {}
+        self.fixpoint = None
 
     def prepare(self, project):
-        self._by_path = TaintEngine(project, self.config).run()
+        engine = TaintEngine(project, self.config)
+        self._by_path = engine.run()
+        self.fixpoint = engine.fixpoint
 
     def applies(self, module):
         return True  # findings are already scoped by the engine

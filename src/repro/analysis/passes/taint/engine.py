@@ -18,10 +18,13 @@ Each function gets a summary — which params flow to the return value,
 which concrete secrets the return value carries, and which params reach
 a sink (*latent sinks*) — computed as a monotone fixpoint over the
 whole project, so a secret that crosses three modules before it hits
-``data_access`` is still caught.  Latent sinks also propagate: if ``f``
-passes its own parameter into a latent sink of ``g``, ``f`` acquires a
-latent sink at the call site, and the finding surfaces at the outermost
-frame where a concrete secret enters.
+``data_access`` is still caught.  The shared
+:class:`~repro.analysis.fixpoint.Fixpoint` driver schedules it: a
+function is re-analysed only when a callee summary or a ``self``
+attribute secret it read has grown.  Latent sinks also propagate: if
+``f`` passes its own parameter into a latent sink of ``g``, ``f``
+acquires a latent sink at the call site, and the finding surfaces at
+the outermost frame where a concrete secret enters.
 
 Propagation policy (the part that keeps ORAM code clean):
 
@@ -47,6 +50,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
+from repro.analysis.fixpoint import Fixpoint
 from repro.analysis.passes.taint.sources import (
     SecretDecls,
     declared_secret_params,
@@ -90,32 +94,34 @@ class TaintEngine:
         self.project = project
         self.config = config
         self.decls = {
-            mod.module: SecretDecls(mod.source) for mod in project.sources
+            mod.module: SecretDecls(mod.source, mod.suppressions.comments)
+            for mod in project.sources
         }
         self.summaries = {q: Summary() for q in project.functions}
         #: (module, class) -> {attr: src-token set} — secrets stored on
         #: ``self`` in one method and read in another.
         self.attr_srcs = {}
-        self._changed = False
+        self.fixpoint = None
+        #: If/While node -> does its body call a page sink (pure in the
+        #: node and the config, so asked once per engine run).
+        self._guards = {}
 
     # -- public ------------------------------------------------------------
 
     def run(self):
         """Fixpoint, then a collection round; findings grouped by path."""
-        order = sorted(self.project.functions)
-        for _ in range(MAX_ROUNDS):
-            self._changed = False
-            for qual in order:
-                self._analyze(self.project.functions[qual], collect=None)
-            if not self._changed:
-                break
+        functions = self.project.functions
+        order = sorted(functions)
+        self.fixpoint = Fixpoint(order, MAX_ROUNDS)
+        self.fixpoint.run(
+            lambda qual: _FunctionAnalysis(self, functions[qual], None).run())
         by_path = {}
         for qual in order:
-            info = self.project.functions[qual]
+            info = functions[qual]
             if not self._reportable(info.module):
                 continue
             found = {}
-            self._analyze(info, collect=found)
+            _FunctionAnalysis(self, info, found).run()
             for (rule, line), message in sorted(found.items()):
                 by_path.setdefault(info.path, []).append(Finding(
                     path=info.path, line=line, rule=rule,
@@ -154,11 +160,7 @@ class TaintEngine:
             return False
         return info.params[index] in self._secret_params(info)
 
-    # -- per-function analysis --------------------------------------------
-
-    def _analyze(self, info, collect):
-        fn = _FunctionAnalysis(self, info, collect)
-        fn.run()
+    # -- what one analysis read and changed ---------------------------------
 
     def merge_summary(self, qual, returns_params, return_srcs, sinks):
         summary = self.summaries[qual]
@@ -168,14 +170,14 @@ class TaintEngine:
         for i, entries in sinks.items():
             summary.sink_params.setdefault(i, set()).update(entries)
         if summary.snapshot() != before:
-            self._changed = True
+            self.fixpoint.changed(qual)
 
     def merge_attr_srcs(self, key, attr, tokens):
         attrs = self.attr_srcs.setdefault(key, {})
         have = attrs.setdefault(attr, set())
         if not tokens <= have:
             have |= tokens
-            self._changed = True
+            self.fixpoint.changed(("attr",) + key)
 
 
 class _FunctionAnalysis:
@@ -372,6 +374,13 @@ class _FunctionAnalysis:
             self._stmt(stmt)
 
     def _guards_paging(self, node):
+        guards = self.engine._guards
+        found = guards.get(node)
+        if found is None:
+            found = guards[node] = self._calls_page_sink(node)
+        return found
+
+    def _calls_page_sink(self, node):
         sinks = self.config.taint_page_sinks
         for stmt in node.body + node.orelse:
             for child in ast.walk(stmt):
@@ -395,8 +404,10 @@ class _FunctionAnalysis:
             chain = _chain(node)
             if len(chain) == 2 and chain[0] == "self" and \
                     self.info.class_name is not None:
-                attrs = self.engine.attr_srcs.get(
-                    (self.info.module, self.info.class_name), {})
+                key = (self.info.module, self.info.class_name)
+                self.engine.fixpoint.depend(("attr",) + key,
+                                            self.info.qualname)
+                attrs = self.engine.attr_srcs.get(key, {})
                 taint = taint | frozenset(attrs.get(node.attr, ()))
             return taint
         if isinstance(node, ast.Subscript):
@@ -543,6 +554,7 @@ class _FunctionAnalysis:
         summary = self.engine.summaries.get(callee.qualname)
         if summary is None:
             return EMPTY
+        self.engine.fixpoint.depend(callee.qualname, self.info.qualname)
         bound = self.project.bind_arguments(call, callee)
         bound_taints = {i: self._eval(expr) for i, expr in bound.items()}
         for i, taint in bound_taints.items():

@@ -11,49 +11,46 @@ Two kinds of taint source feed the leakage engine:
   (``# repro: secret[a, b]`` restricts to the named ones); on an
   assignment it marks the assigned names.
 
-Like suppressions, declarations are real comment tokens found via
-:mod:`tokenize`, so mentioning the syntax in a docstring is inert.
+Like suppressions, declarations are real comment tokens (the ones the
+module's suppression table already tokenised), so mentioning the
+syntax in a docstring is inert.
 """
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
 
 SECRET_RE = re.compile(r"#\s*repro:\s*secret(?:\[([^\]]*)\])?")
 
 
 class SecretDecls:
-    """The ``# repro: secret`` table of one source file.
+    """The ``# repro: secret`` table of one source file, built from its
+    comment tokens (``((line, col), text)`` pairs, as
+    :attr:`~repro.analysis.walker.Suppressions.comments` holds them).
 
     ``for_line(n)`` returns ``None`` (no declaration), ``()`` (declare
     everything on that line), or a tuple of names.
     """
 
-    def __init__(self, source):
+    def __init__(self, source, comments):
         self.by_line = {}
-        lines = source.splitlines()
+        lines = None
         decls = {}
-        try:
-            tokens = list(tokenize.generate_tokens(
-                io.StringIO(source).readline))
-        except (tokenize.TokenError, IndentationError):
-            tokens = []
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = SECRET_RE.search(tok.string)
+        for (lineno, col), text in comments:
+            match = SECRET_RE.search(text)
             if not match:
                 continue
+            if lines is None:
+                lines = source.splitlines()
             names = ()
             if match.group(1):
                 names = tuple(
                     n.strip() for n in match.group(1).split(",")
                     if n.strip())
-            lineno, col = tok.start
             standalone = lines[lineno - 1][:col].strip() == ""
             decls[lineno] = (names, standalone)
+        if not decls:
+            return
 
         pending = None
         for lineno in range(1, len(lines) + 1):

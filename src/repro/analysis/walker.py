@@ -80,11 +80,15 @@ class Suppressions:
         self.by_line = {}
         self._used = set()       # comment lines that suppressed something
         self._comment_lines = {}  # comment line → tokens (for staleness)
+        #: Every comment token as ``((line, col), text)``: the one
+        #: tokenisation of the file, shared with other comment readers
+        #: (``# repro: secret`` declarations).
+        self.comments = tuple(self._comment_tokens(source))
 
         lines = source.splitlines()
         allow_comments = {}      # lineno → (rules, standalone?)
-        for tok in self._comment_tokens(source):
-            match = ALLOW_RE.search(tok.string)
+        for (lineno, col), text in self.comments:
+            match = ALLOW_RE.search(text)
             if not match:
                 continue
             rules = frozenset(
@@ -92,7 +96,6 @@ class Suppressions:
                 for token in match.group(1).split(",")
                 if token.strip()
             )
-            lineno, col = tok.start
             standalone = lines[lineno - 1][:col].strip() == ""
             allow_comments[lineno] = (rules, standalone)
             self._comment_lines[lineno] = rules
@@ -125,7 +128,7 @@ class Suppressions:
             for tok in tokenize.generate_tokens(
                     io.StringIO(source).readline):
                 if tok.type == tokenize.COMMENT:
-                    yield tok
+                    yield tok.start, tok.string
         except (tokenize.TokenError, IndentationError):
             return
 
@@ -246,8 +249,9 @@ def run_passes(modules, config=None, strict=False, only=None):
 
     The interprocedural :class:`~repro.analysis.callgraph.Project` is
     built exactly once here and shared by every pass via ``prepare``;
-    its build time, resolution-cache statistics, and per-pass-family
-    wall time land in the report (``--format json``) so regressions in
+    its build time, resolution-cache statistics, each interprocedural
+    fixpoint's rounds/analyses/convergence, and per-pass-family wall
+    time land in the report (``--format json``) so regressions in
     graph construction or any one pass are visible in CI.  ``only``
     restricts the run to the named pass families; stale-annotation
     findings (``--strict``) then cover only annotations mentioning
@@ -311,6 +315,10 @@ def run_passes(modules, config=None, strict=False, only=None):
     report.findings.sort(key=Finding.sort_key)
     report.callgraph["resolve_cache_hits"] = project.cache_hits
     report.callgraph["resolve_cache_misses"] = project.cache_misses
+    report.callgraph["fixpoints"] = {
+        pass_.family: pass_.fixpoint.stats() for pass_ in passes
+        if getattr(pass_, "fixpoint", None) is not None
+    }
     report.callgraph["pass_seconds"] = {
         family: round(seconds, 6)
         for family, seconds in sorted(pass_seconds.items())

@@ -61,8 +61,11 @@ class EnclaveHostState:
     enclave_managed: set = field(default_factory=set)
     #: Eviction order over resident OS-managed vpns.  ``fifo_set`` is
     #: the live membership; stale deque entries are skipped lazily.
+    #: ``fifo_queued`` is the deque's membership: a vpn is queued at most
+    #: once, and one re-added while still queued keeps its earlier place.
     fifo: deque = field(default_factory=deque)
     fifo_set: set = field(default_factory=set)
+    fifo_queued: set = field(default_factory=set)
     suspended: bool = False
     #: Pages force-evicted by suspend, to be restored on resume.
     suspend_set: list = field(default_factory=list)
@@ -74,9 +77,10 @@ class EnclaveHostState:
         return None
 
     def fifo_add(self, vpn):
-        if vpn not in self.fifo_set:
+        self.fifo_set.add(vpn)
+        if vpn not in self.fifo_queued:
             self.fifo.append(vpn)
-            self.fifo_set.add(vpn)
+            self.fifo_queued.add(vpn)
 
     def fifo_discard(self, vpn):
         self.fifo_set.discard(vpn)
@@ -240,6 +244,7 @@ class SgxDriver:
             vpn = fifo[0]
             if vpn not in state.fifo_set:
                 fifo.popleft()
+                state.fifo_queued.discard(vpn)
                 continue
             if use_clock and rotations < 2 * len(fifo):
                 accessed, _dirty = \
@@ -355,7 +360,8 @@ class SgxDriver:
 
     def _load_pages(self, state, enclave, bases, loaded):
         """Load and map non-resident pages in order, appending each base
-        to ``loaded`` as it completes.
+        to ``loaded`` as it completes; a page outside every declared
+        region is refused before anything is done for it.
 
         A stretch of swapped-out pages in one region that fits under
         the quota loads as one ELDU run.  ``make_room(1)`` runs before
@@ -371,10 +377,15 @@ class SgxDriver:
         has = self.backing.has
         i, n = 0, len(bases)
         while i < n:
-            if len(backed) >= quota:
-                self.make_room(enclave, 1)
             base = bases[i]
             region = state.region_for(base >> PAGE_SHIFT)
+            if region is None:
+                raise SgxError(
+                    f"ay_fetch_pages outside any declared region: "
+                    f"{base:#x}"
+                )
+            if len(backed) >= quota:
+                self.make_room(enclave, 1)
             if not has(enclave_id, base):
                 self._load_frame(enclave, base, region)
                 self.map_page(enclave, base, region)
@@ -484,6 +495,7 @@ class SgxDriver:
         if state is not None:
             state.fifo.clear()
             state.fifo_set.clear()
+            state.fifo_queued.clear()
             state.enclave_managed.clear()
         self.clock.charge(self.cost.syscall, Category.OS)
 

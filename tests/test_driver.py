@@ -163,6 +163,45 @@ class TestAutarkyIoctls:
         rig.driver.ay_set_os_managed(rig.enclave, [page(0)])
         rig.driver.evict_page(rig.enclave, page(0))  # now allowed
 
+    def test_fetch_outside_every_region_is_refused_after_the_prefix(
+            self, kernel):
+        enclave = kernel.driver.create_enclave(BASE, 16)
+        kernel.driver.declare_region(enclave, BASE, 4)
+        kernel.instr.einit(enclave)
+        free = kernel.epc.free_pages
+        kernel.driver.ay_set_enclave_managed(
+            enclave, [page(0), page(1), page(8)])
+        with pytest.raises(SgxError, match="outside any declared region"):
+            kernel.driver.ay_fetch_pages(
+                enclave, [page(0), page(1), page(8)])
+        # The prefix loads and counts; nothing is installed for page 8.
+        assert sorted(enclave.backed) == [page(0) >> 12, page(1) >> 12]
+        assert kernel.driver.pages_in == 2
+        assert kernel.epc.free_pages == free - 2
+        assert kernel.page_table.lookup(page(8)) is None
+
+    def test_fifo_queues_each_vpn_once_under_claim_release_churn(
+            self, kernel):
+        from repro.sgx.enclave import EnclaveAttributes
+        enclave = kernel.driver.create_enclave(
+            BASE, 64, EnclaveAttributes(self_paging=True), quota_pages=8)
+        kernel.driver.declare_region(enclave, BASE, 64)
+        for i in range(8):
+            kernel.driver.page_in(enclave, page(i))
+        state = kernel.driver.state(enclave)
+        churn = [page(i) for i in (1, 2, 5)]
+        for _ in range(50):
+            kernel.driver.ay_set_enclave_managed(enclave, churn)
+            kernel.driver.ay_set_os_managed(enclave, churn)
+            assert len(state.fifo) == len(set(state.fifo))
+            assert len(state.fifo) <= len(enclave.backed)
+        # Re-added pages keep their first place: eviction stays in
+        # first-touch order.
+        for i in range(8, 16):
+            kernel.driver.page_in(enclave, page(i))
+            assert not kernel.driver.resident(enclave, page(i - 8))
+            assert len(state.fifo) == len(set(state.fifo))
+
 
 class TestSuspendResume:
     def test_suspend_evicts_everything(self, rig):

@@ -191,7 +191,8 @@ def make():
 
     def test_fixpoint_converges_early(self):
         engine = summarize("def f():\n    return 1\n")
-        assert engine.rounds <= 2
+        assert engine.fixpoint.rounds <= 2
+        assert engine.fixpoint.converged
 
 
 # -- pass selection and timing ------------------------------------------------
