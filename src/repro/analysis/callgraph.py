@@ -36,6 +36,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.nodeindex import NodeIndex
 from repro.analysis.walker import attr_chain
 
 #: Method names too generic for duck-typed resolution: binding these to
@@ -126,6 +127,9 @@ class Project:
         self._resolve_cache = {}
         self.cache_hits = 0
         self.cache_misses = 0
+        #: every node list a pass walks, one traversal per module tree
+        #: (built here, so it lives exactly as long as the run).
+        self.index = NodeIndex()
         self.sources = list(modules)
         for mod in modules:
             self._index_module(mod)
@@ -138,17 +142,17 @@ class Project:
     def _index_module(self, mod):
         table = ModuleTable(name=mod.module, path=mod.path)
         self.modules[mod.module] = table
-        for node in ast.walk(mod.tree):
+        for node in self.index.of(mod.tree, ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     table.imports[alias.asname or
                                   alias.name.split(".")[0]] = alias.name
-            elif isinstance(node, ast.ImportFrom):
+            else:
                 base = self._import_base(mod.module, node)
                 for alias in node.names:
                     table.imports[alias.asname or alias.name] = \
                         f"{base}.{alias.name}" if base else alias.name
-        for child in ast.iter_child_nodes(mod.tree):
+        for child in mod.tree.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(table, child, class_name=None)
             elif isinstance(child, ast.ClassDef):

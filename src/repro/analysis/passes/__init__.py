@@ -8,7 +8,10 @@ Each pass family lives in its own module and exposes one class with:
   objects for one :class:`~repro.analysis.walker.ModuleSource`;
 * optionally ``prepare(project)`` — called once per analysis with the
   interprocedural :class:`~repro.analysis.callgraph.Project` before any
-  ``run``, for passes whose findings need the whole call graph;
+  ``run``, for passes whose findings need the whole call graph, and
+  for every pass that walks a tree: it takes ``project.index``
+  (:class:`~repro.analysis.nodeindex.NodeIndex`) instead of calling
+  ``ast.walk``;
 * optionally ``fixpoint`` — after ``prepare``, the
   :class:`~repro.analysis.fixpoint.Fixpoint` that computed its
   summaries (its round/analysis counts land in the report).

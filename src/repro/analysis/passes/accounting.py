@@ -75,9 +75,7 @@ class CycleAccountingPass:
         charges = set()
         for qual, info in project.functions.items():
             callees = set()
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in project.index.of(info.node, ast.Call):
                 chain = attr_chain(node.func)
                 if not chain:
                     continue

@@ -54,6 +54,10 @@ _TRACKED_FROM = ("time", "random", "datetime", "os", "uuid", "secrets")
 #: parallel-merge scope.
 _PARALLEL_PKG = "repro.parallel"
 
+#: Nodes that iterate something (checked in the parallel-merge scope).
+_ITERATING = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp,
+              ast.GeneratorExp, ast.DictComp)
+
 
 class DeterminismPass:
     family = "determinism"
@@ -65,24 +69,27 @@ class DeterminismPass:
     def applies(self, module):
         return module not in self.config.determinism_exempt
 
+    def prepare(self, project):
+        self.index = project.index
+
     def run(self, mod):
         aliases = self._collect_aliases(mod.tree)
         parallel_scope = self._in_parallel_scope(mod)
         sorted_args = (
             self._sorted_wrapped(mod.tree) if parallel_scope else ()
         )
-        for node in ast.walk(mod.tree):
+        types = (ast.Call,) + (_ITERATING if parallel_scope else ())
+        for node in self.index.of(mod.tree, *types):
             if isinstance(node, ast.Call):
                 yield from self._check_call(mod, node, aliases)
                 if parallel_scope:
                     yield from self._check_parallel_call(
                         mod, node, aliases, sorted_args
                     )
-            elif parallel_scope:
+            else:
                 yield from self._check_parallel_iteration(mod, node)
 
-    @staticmethod
-    def _collect_aliases(tree):
+    def _collect_aliases(self, tree):
         """Map local names to canonical dotted origins.
 
         ``import random as rnd`` → ``{"rnd": "random"}``;
@@ -90,12 +97,12 @@ class DeterminismPass:
         ``{"perf_counter": "time.perf_counter"}``.
         """
         aliases = {}
-        for node in ast.walk(tree):
+        for node in self.index.of(tree, ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     aliases[alias.asname or alias.name.split(".")[0]] = \
                         alias.name
-            elif isinstance(node, ast.ImportFrom) and not node.level:
+            elif not node.level:
                 if node.module in _TRACKED_FROM:
                     for alias in node.names:
                         aliases[alias.asname or alias.name] = \
@@ -167,33 +174,30 @@ class DeterminismPass:
 
     # -- the parallel-merge scope ------------------------------------------
 
-    @staticmethod
-    def _in_parallel_scope(mod):
+    def _in_parallel_scope(self, mod):
         """The fan-out package itself, plus every module importing it."""
         if mod.module == _PARALLEL_PKG or \
                 mod.module.startswith(_PARALLEL_PKG + "."):
             return True
-        for node in ast.walk(mod.tree):
+        for node in self.index.of(mod.tree, ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 if any(alias.name == _PARALLEL_PKG or
                        alias.name.startswith(_PARALLEL_PKG + ".")
                        for alias in node.names):
                     return True
-            elif isinstance(node, ast.ImportFrom) and not node.level:
+            elif not node.level:
                 if node.module and (
                         node.module == _PARALLEL_PKG or
                         node.module.startswith(_PARALLEL_PKG + ".")):
                     return True
         return False
 
-    @staticmethod
-    def _sorted_wrapped(tree):
+    def _sorted_wrapped(self, tree):
         """ids of call nodes appearing directly as ``sorted(...)`` args —
         the canonical-re-sort idiom that makes ``imap_unordered`` safe."""
         wrapped = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Name) and \
+        for node in self.index.of(tree, ast.Call):
+            if isinstance(node.func, ast.Name) and \
                     node.func.id == "sorted":
                 wrapped.update(id(arg) for arg in node.args)
         return wrapped
@@ -219,11 +223,8 @@ class DeterminismPass:
     def _check_parallel_iteration(self, mod, node):
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iters = [node.iter]
-        elif isinstance(node, (ast.ListComp, ast.SetComp,
-                               ast.GeneratorExp, ast.DictComp)):
-            iters = [gen.iter for gen in node.generators]
         else:
-            return
+            iters = [gen.iter for gen in node.generators]
         for it in iters:
             if isinstance(it, (ast.Set, ast.SetComp)) or (
                     isinstance(it, ast.Call) and

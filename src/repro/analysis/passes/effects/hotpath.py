@@ -46,7 +46,7 @@ def check_module(project, config, mod):
             continue
         if not _is_hot(info, config, marker_lines):
             continue
-        yield from _check_function(info, mod)
+        yield from _check_function(project.index, info, mod)
 
 
 def _is_hot(info, config, marker_lines):
@@ -58,21 +58,19 @@ def _is_hot(info, config, marker_lines):
     return lineno in marker_lines or (lineno - 1) in marker_lines
 
 
-def _check_function(info, mod):
+def _check_function(index, info, mod):
     seen = set()
-    for loop in ast.walk(info.node):
-        if not isinstance(loop, (ast.For, ast.While)):
-            continue
-        rebound = _rebound_names(loop)
+    for loop in index.of(info.node, ast.For, ast.While):
+        rebound = _rebound_names(index, loop)
         body = list(loop.body) + list(loop.orelse)
-        for finding in _check_loop(info, mod, body, rebound):
+        for finding in _check_loop(index, info, mod, body, rebound):
             key = (finding.line, finding.message)
             if key not in seen:
                 seen.add(key)
                 yield finding
 
 
-def _rebound_names(loop):
+def _rebound_names(index, loop):
     """Names assigned anywhere inside the loop (including its own
     ``for`` target): chains rooted at these are not loop-invariant."""
     names = set()
@@ -80,30 +78,31 @@ def _rebound_names(loop):
     if isinstance(loop, ast.For):
         nodes.append(loop.target)
     for node in nodes:
-        for sub in ast.walk(node):
+        for sub in index.walk(node):
             if isinstance(sub, ast.Name) and isinstance(
                     sub.ctx, (ast.Store, ast.Del)):
                 names.add(sub.id)
-            elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                for t in ast.walk(sub.target):
-                    if isinstance(t, ast.Name):
-                        names.add(t.id)
-            elif isinstance(sub, ast.comprehension):
-                for t in ast.walk(sub.target):
-                    if isinstance(t, ast.Name):
-                        names.add(t.id)
+            elif isinstance(sub, (ast.For, ast.AsyncFor,
+                                  ast.comprehension)):
+                for t in index.of(sub.target, ast.Name):
+                    names.add(t.id)
     return names
 
 
-def _check_loop(info, mod, body, rebound):
+def _check_loop(index, info, mod, body, rebound):
     for stmt in body:
-        for node in ast.walk(stmt):
+        nodes = index.walk(stmt)
+        # Only the *maximal* chain is reported: skip any attribute
+        # that is the ``.value`` of an enclosing one.
+        inner = {node.value for node in nodes
+                 if isinstance(node, ast.Attribute)}
+        for node in nodes:
             if isinstance(node, ast.Attribute) and isinstance(
                     node.ctx, ast.Load):
                 chain = _pure_chain(node)
                 if (chain is not None and len(chain) >= 3
                         and chain[0] not in rebound
-                        and not _is_inner_attribute(node, stmt)):
+                        and node not in inner):
                     dotted = ".".join(chain)
                     yield Finding(
                         path=mod.path, line=node.lineno, rule=RULE,
@@ -167,12 +166,3 @@ def _pure_chain(node):
     parts.append(node.id)
     parts.reverse()
     return parts
-
-
-def _is_inner_attribute(node, stmt):
-    """True when ``node`` is the ``.value`` of an enclosing Attribute —
-    only the *maximal* chain is reported."""
-    for parent in ast.walk(stmt):
-        if isinstance(parent, ast.Attribute) and parent.value is node:
-            return True
-    return False

@@ -33,9 +33,7 @@ def find_runner_sites(project, config):
     sites = {}
     for qual in sorted(project.functions):
         info = project.functions[qual]
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in project.index.of(info.node, ast.Call):
             chain = attr_chain(node.func)
             if not chain or chain[-1] not in config.effects_task_runners:
                 continue

@@ -217,7 +217,7 @@ class OpCollector:
     def _scan_expr(self, expr, assign_target=None):
         # Inner-to-outer source order is close enough: visit nested
         # calls first via ast.walk ordering on the arguments.
-        for node in _calls_in_order(expr):
+        for node in _calls_in_order(self.project.index, expr):
             self._call(node, assign_target if node is expr else None)
 
     def _call(self, call, assign_target):
@@ -286,7 +286,7 @@ class OpCollector:
             if key is not None and i < len(callee.params):
                 rename[callee.params[i]] = key
         if isinstance(assign_target, ast.Name):
-            for ret in _return_names(callee.node):
+            for ret in _return_names(self.project.index, callee.node):
                 rename[ret] = assign_target.id
         # The scope carries the call-site line: a callee's *locals* are
         # fresh per invocation, so ops from two splices of the same
@@ -317,21 +317,17 @@ def _rebind(key, rename, scope):
     return scope + key
 
 
-def _return_names(func_node):
-    names = set()
-    for node in ast.walk(func_node):
-        if isinstance(node, ast.Return) and \
-                isinstance(node.value, ast.Name):
-            names.add(node.value.id)
-    return names
+def _return_names(index, func_node):
+    return {node.value.id for node in index.of(func_node, ast.Return)
+            if isinstance(node.value, ast.Name)}
 
 
-def _calls_in_order(expr):
-    calls = [n for n in ast.walk(expr) if isinstance(n, ast.Call)]
-    # ast.walk is breadth-first: outermost call first.  Arguments are
+def _calls_in_order(index, expr):
+    # The walk is breadth-first: outermost call first.  Arguments are
     # evaluated before the call runs, so reverse to inner-first —
-    # exact sibling order does not matter to the automata.
-    return list(reversed(calls))
+    # exact sibling order does not matter to the automata.  A splice
+    # rescans the callee's expressions; the index walks each once.
+    return reversed(index.of(expr, ast.Call))
 
 
 # -- automata ---------------------------------------------------------------

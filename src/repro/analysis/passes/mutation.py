@@ -24,6 +24,8 @@ from repro.analysis.walker import attr_chain
 RULE_CALL = "mutation-discipline/call"
 RULE_STORE = "mutation-discipline/store"
 
+_STORES = (ast.Assign, ast.AugAssign, ast.Delete)
+
 
 class MutationDisciplinePass:
     family = "mutation-discipline"
@@ -35,20 +37,33 @@ class MutationDisciplinePass:
     def applies(self, module):
         return module not in self.config.mutation_sanctioned
 
-    def run(self, mod):
-        yield from self._visit(mod, mod.tree, in_init=False)
+    def prepare(self, project):
+        self.index = project.index
 
-    def _visit(self, mod, node, in_init):
-        for child in ast.iter_child_nodes(node):
-            child_in_init = in_init
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_in_init = child.name == "__init__"
-            elif isinstance(child, ast.Call):
-                yield from self._check_call(mod, child)
-            elif isinstance(child, (ast.Assign, ast.AugAssign, ast.Delete)):
-                if not in_init:
-                    yield from self._check_store(mod, child)
-            yield from self._visit(mod, child, child_in_init)
+    def run(self, mod):
+        in_init = self._init_stores(mod)
+        for node in self.index.of(mod.tree, ast.Call, *_STORES):
+            if isinstance(node, ast.Call):
+                yield from self._check_call(mod, node)
+            elif node not in in_init:
+                yield from self._check_store(mod, node)
+
+    def _init_stores(self, mod):
+        """Stores whose innermost enclosing function is an ``__init__``
+        (a class body does not open a new context, a nested ``def``
+        does)."""
+        index = self.index
+        stores = set()
+        # Breadth-first, so an enclosing def comes before the defs
+        # nested in it and the innermost one has the last word.
+        for func in index.of(mod.tree, ast.FunctionDef,
+                             ast.AsyncFunctionDef):
+            inside = index.of(func, *_STORES)
+            if func.name == "__init__":
+                stores.update(inside)
+            else:
+                stores.difference_update(inside)
+        return stores
 
     def _check_call(self, mod, node):
         chain = attr_chain(node.func)

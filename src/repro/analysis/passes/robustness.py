@@ -80,6 +80,9 @@ class RobustnessPass:
             or module.startswith(self.config.robustness_prefixes)
         )
 
+    def prepare(self, project):
+        self.index = project.index
+
     def run(self, mod):
         yield from self._broad_handlers(mod)
         yield from self._unbounded_restarts(mod)
@@ -90,9 +93,7 @@ class RobustnessPass:
             yield from self._unguarded_failovers(mod)
 
     def _broad_handlers(self, mod):
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in self.index.of(mod.tree, ast.ExceptHandler):
             broad = self._broad_name(node.type)
             if broad is None:
                 continue
@@ -120,9 +121,7 @@ class RobustnessPass:
         """Flag ``while True`` loops that spin on a restart-shaped call
         with no visible escape (no ``raise``/``return``/``break`` in
         the loop body)."""
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.While):
-                continue
+        for node in self.index.of(mod.tree, ast.While):
             if not self._is_forever(node.test):
                 continue
             verb = self._restart_call(node.body)
@@ -166,9 +165,7 @@ class RobustnessPass:
         * the loop scope escapes via ``raise``/``return``/``break``
           (growth is bounded by the escape condition).
         """
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.While):
-                continue
+        for node in self.index.of(mod.tree, ast.While):
             test_names = self._dotted_names(node.test)
             if self._escapes(node.body):
                 continue
@@ -222,10 +219,8 @@ class RobustnessPass:
         (teardown sweeps, canonical tuples — no ``return``/``break``)
         are not selections and are not findings.
         """
-        for func in ast.walk(mod.tree):
-            if not isinstance(func, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
+        for func in self.index.of(mod.tree, ast.FunctionDef,
+                                  ast.AsyncFunctionDef):
             for loop, iterated in self._selection_loops(func.body):
                 yield Finding(
                     path=mod.path,

@@ -105,23 +105,42 @@ class TaintEngine:
         #: If/While node -> does its body call a page sink (pure in the
         #: node and the config, so asked once per engine run).
         self._guards = {}
+        self._sink_calls = {}     # qualname -> its page-sink calls
 
     # -- public ------------------------------------------------------------
 
     def run(self):
-        """Fixpoint, then a collection round; findings grouped by path."""
+        """The fixpoint, collecting on the way; findings grouped by
+        path.
+
+        At convergence no function is dirty, so each function's last
+        walk read final inputs: its findings are the ones that walk
+        collected.  A run cut by the round bound walks every
+        reportable function once more against the last state instead.
+        """
         functions = self.project.functions
         order = sorted(functions)
+        collected = {}            # qual -> {(rule, line): message}
+
+        def analyze(qual):
+            info = functions[qual]
+            collect = None
+            if self._reportable(info.module):
+                collect = collected[qual] = {}
+            _FunctionAnalysis(self, info, collect).run()
+
         self.fixpoint = Fixpoint(order, MAX_ROUNDS)
-        self.fixpoint.run(
-            lambda qual: _FunctionAnalysis(self, functions[qual], None).run())
+        self.fixpoint.run(analyze)
+        if not self.fixpoint.converged:
+            for qual in order:
+                if qual in collected:
+                    analyze(qual)
         by_path = {}
         for qual in order:
-            info = functions[qual]
-            if not self._reportable(info.module):
+            found = collected.get(qual)
+            if found is None:
                 continue
-            found = {}
-            _FunctionAnalysis(self, info, found).run()
+            info = functions[qual]
             for (rule, line), message in sorted(found.items()):
                 by_path.setdefault(info.path, []).append(Finding(
                     path=info.path, line=line, rule=rule,
@@ -129,6 +148,16 @@ class TaintEngine:
                     module=info.module,
                 ))
         return by_path
+
+    def sink_calls(self, info):
+        """The calls to a page sink anywhere under ``info``'s def."""
+        found = self._sink_calls.get(info.qualname)
+        if found is None:
+            sinks = self.config.taint_page_sinks
+            found = self._sink_calls[info.qualname] = tuple(
+                call for call in self.project.index.of(info.node, ast.Call)
+                if (chain := _chain(call.func)) and chain[-1] in sinks)
+        return found
 
     # -- helpers -----------------------------------------------------------
 
@@ -381,14 +410,13 @@ class _FunctionAnalysis:
         return found
 
     def _calls_page_sink(self, node):
-        sinks = self.config.taint_page_sinks
-        for stmt in node.body + node.orelse:
-            for child in ast.walk(stmt):
-                if isinstance(child, ast.Call):
-                    chain = _chain(child.func)
-                    if chain and chain[-1] in sinks:
-                        return True
-        return False
+        sink_calls = self.engine.sink_calls(self.info)
+        if not sink_calls:
+            return False  # most functions call no page sink at all
+        index = self.project.index
+        return any(call in sink_calls
+                   for stmt in node.body + node.orelse
+                   for call in index.of(stmt, ast.Call))
 
     # -- expressions -------------------------------------------------------
 

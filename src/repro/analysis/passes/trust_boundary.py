@@ -36,15 +36,19 @@ class TrustBoundaryPass:
     def applies(self, module):
         return self.config.is_untrusted(module)
 
+    def prepare(self, project):
+        self.index = project.index
+
     def run(self, mod):
         private_modules = self.config.enclave_private_modules
         private_attrs = self.config.enclave_private_attrs
 
-        for node in ast.walk(mod.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield from self._check_import(mod, node, private_modules)
-            elif isinstance(node, ast.Attribute):
+        for node in self.index.of(mod.tree, ast.Import, ast.ImportFrom,
+                                  ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 yield from self._check_attr(mod, node, private_attrs)
+            else:
+                yield from self._check_import(mod, node, private_modules)
 
     def _check_import(self, mod, node, private_modules):
         if isinstance(node, ast.Import):

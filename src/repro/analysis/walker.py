@@ -248,8 +248,10 @@ def run_passes(modules, config=None, strict=False, only=None):
     """Run the registered passes over ``modules``; returns a Report.
 
     The interprocedural :class:`~repro.analysis.callgraph.Project` is
-    built exactly once here and shared by every pass via ``prepare``;
-    its build time, resolution-cache statistics, each interprocedural
+    built exactly once here and shared by every pass via ``prepare``,
+    with its :class:`~repro.analysis.nodeindex.NodeIndex` (each module
+    tree walked once for the whole run); its build time,
+    resolution-cache and index statistics, each interprocedural
     fixpoint's rounds/analyses/convergence, and per-pass-family wall
     time land in the report (``--format json``) so regressions in
     graph construction or any one pass are visible in CI.  ``only``
@@ -315,6 +317,7 @@ def run_passes(modules, config=None, strict=False, only=None):
     report.findings.sort(key=Finding.sort_key)
     report.callgraph["resolve_cache_hits"] = project.cache_hits
     report.callgraph["resolve_cache_misses"] = project.cache_misses
+    report.callgraph["index"] = project.index.stats()
     report.callgraph["fixpoints"] = {
         pass_.family: pass_.fixpoint.stats() for pass_ in passes
         if getattr(pass_, "fixpoint", None) is not None

@@ -80,6 +80,13 @@ class PageFault(ReproError):
             f"present={present}, reason={reason!r})"
         )
 
+    def __reduce__(self):
+        # The default rebuilds from ``self.args`` — the formatted
+        # message — which ``__init__`` cannot take back as ``vaddr``;
+        # copy and pickle need the fields.
+        return (type(self), (self.vaddr, self.write, self.exec_,
+                             self.present, self.reason), self.__dict__)
+
 
 class EnclaveTerminated(ReproError):
     """Trusted enclave software aborted execution.

@@ -2,16 +2,20 @@
 
 Each rule family gets a caught-violation case, a negative case, and a
 suppressed case, all driven through :func:`analyze_source` on synthetic
-snippets; the final gate runs every pass over the real tree and
-requires zero unsuppressed findings.
+snippets; the node index is checked against ``ast.walk`` and guards
+the one-walk-per-tree budget; the final gate runs every pass over the
+real tree and requires zero unsuppressed findings.
 """
 
 import ast
+import functools
 import json
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     DEFAULT_CONFIG,
@@ -19,10 +23,14 @@ from repro.analysis import (
     analyze_tree,
 )
 from repro.analysis.callgraph import Project
+from repro.analysis.nodeindex import FUNCTION_ROOTS, NodeIndex
 from repro.analysis.walker import (
     ModuleSource,
     Suppressions,
     attr_chain,
+    default_roots,
+    iter_source_files,
+    load_module,
     module_name_for,
     run_passes,
 )
@@ -712,6 +720,142 @@ class TestPlumbing:
         # Unterminated string: tokenize raises, table comes back empty.
         supp = Suppressions("x = '")
         assert supp.by_line == {}
+
+
+# -- node index ---------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def shipped_modules():
+    """The default analysis scope, parsed once for the index tests."""
+    return tuple(load_module(path) for root in default_roots()
+                 for path in iter_source_files(root))
+
+
+#: Filters the passes ask for, plus abstract bases and the shared
+#: ``Load`` singleton (one node object at many places in a tree).
+INDEX_TYPES = (
+    ast.Call, ast.Attribute, ast.Import, ast.ImportFrom, ast.Return,
+    ast.For, ast.While, ast.Assign, ast.AugAssign, ast.Delete,
+    ast.ExceptHandler, ast.FunctionDef, ast.AsyncFunctionDef, ast.Name,
+    ast.Load, ast.expr, ast.stmt, ast.comprehension,
+)
+
+_SIMPLE = (
+    "x = f(a, *b, k=c)", "y.z += a.b.c", "del d[k], e", "pass",
+    "return [i for i in s if i.j]", "yield lambda q: q.r + 1",
+    "m = {k: v for k, v in w.items()}", "import os.path as p",
+    "from . import sibling", "assert not x, f'{y!r}'",
+    "raise E(x) from y", "s = {1, 2} | t[1:2]", "await g()",
+    "n = [z async for z in w]",
+)
+
+_HEADERS = (
+    "def f(a, b=g(), *c, d, **e):", "async def h():", "class C(B):",
+    "if x < y:", "while True:", "for i, j in enumerate(z):",
+    "with m() as n:", "try:",
+)
+
+
+@st.composite
+def snippets(draw, depth=3, indent=""):
+    """Random nests of defs, classes and compound statements."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth and draw(st.booleans()):
+            header = draw(st.sampled_from(_HEADERS))
+            lines.append(indent + header)
+            lines.append(draw(snippets(depth - 1, indent + "    ")))
+            if header == "try:":
+                lines.append(indent + "except (E, F) as err:")
+                lines.append(draw(snippets(depth - 1, indent + "    ")))
+        else:
+            lines.append(indent + draw(st.sampled_from(_SIMPLE)))
+    return "\n".join(lines)
+
+
+def same_nodes(got, expected):
+    return len(got) == len(expected) and all(
+        a is b for a, b in zip(got, expected))
+
+
+def check_root(index, root, types):
+    expected = list(ast.walk(root))
+    assert same_nodes(index.walk(root), expected)
+    assert same_nodes(index.of(root, *types),
+                      [n for n in expected if isinstance(n, types)])
+
+
+def roots_of(tree):
+    return [tree] + [n for n in ast.walk(tree)
+                     if isinstance(n, FUNCTION_ROOTS)]
+
+
+class TestNodeIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shipped_roots_match_ast_walk(self, data):
+        modules = shipped_modules()
+        mod = modules[data.draw(st.integers(0, len(modules) - 1))]
+        roots = roots_of(mod.tree)
+        root = roots[data.draw(st.integers(0, len(roots) - 1))]
+        types = tuple(data.draw(st.lists(
+            st.sampled_from(INDEX_TYPES), min_size=1, max_size=3)))
+        index = NodeIndex()
+        if data.draw(st.booleans()):
+            index.walk(mod.tree)  # function lists filled on the way
+        check_root(index, root, types)
+
+    @settings(max_examples=150, deadline=None)
+    @given(snippets(), st.lists(st.sampled_from(INDEX_TYPES),
+                                min_size=1, max_size=3))
+    def test_generated_roots_match_ast_walk(self, source, types):
+        tree = ast.parse(source)
+        index = NodeIndex()
+        for root in roots_of(tree):
+            check_root(index, root, tuple(types))
+        # Any other root is walked on demand, just the same.
+        for stmt in tree.body:
+            check_root(index, stmt, tuple(types))
+
+    def test_each_module_tree_is_walked_once_per_run(self, monkeypatch):
+        # One traversal per module tree feeds the call graph and every
+        # pass: no pass walks a module or function again, neither with
+        # ast.walk nor by recursing through ast.iter_child_nodes.
+        modules = [load_module(mod.path) for mod in shipped_modules()]
+        traversals = {}
+        traverse = NodeIndex._traverse
+
+        def counting_traverse(index, root):
+            traversals[id(root)] = traversals.get(id(root), 0) + 1
+            return traverse(index, root)
+
+        rewalked = []
+        trees = (ast.Module,) + FUNCTION_ROOTS
+
+        def guard(real):
+            def wrapper(node):
+                if isinstance(node, trees):
+                    rewalked.append(node)
+                return real(node)
+            return wrapper
+
+        monkeypatch.setattr(NodeIndex, "_traverse", counting_traverse)
+        monkeypatch.setattr(ast, "walk", guard(ast.walk))
+        monkeypatch.setattr(ast, "iter_child_nodes",
+                            guard(ast.iter_child_nodes))
+        report = run_passes(modules, strict=True)
+        monkeypatch.undo()
+
+        assert report.findings == []
+        assert [mod.path for mod in modules
+                if traversals.get(id(mod.tree)) != 1] == []
+        assert rewalked == []
+        stats = report.callgraph["index"]
+        assert stats["module_nodes"] == sum(
+            len(list(ast.walk(mod.tree))) for mod in modules)
+        # Statement and expression roots (the lifecycle pass's
+        # splices, hot loops) cost a fraction of one tree walk.
+        assert stats["traversed_nodes"] < 2 * stats["module_nodes"]
 
 
 # -- call graph ---------------------------------------------------------------

@@ -210,6 +210,35 @@ def test_attribute_secret_reaches_an_earlier_reader():
     assert engine.fixpoint.converged and engine.fixpoint.rounds == 2
 
 
+def test_a_cut_run_collects_against_the_last_state(monkeypatch):
+    # ``a_lookup`` reaches the sink only once ``b_store``'s secret is
+    # on ``self.slot``, which its first walk has not seen yet.  With a
+    # one-round bound that first walk is also its last, so a cut run
+    # must walk it again to collect (a converged run collects on its
+    # last fixpoint walk).
+    source = (
+        "class App:\n"
+        "    def a_lookup(self, mem):\n"
+        "        mem.data_access(self.slot)\n"
+        "\n"
+        "    def b_store(self, key):\n"
+        "        self.slot = key\n"
+    )
+    module = walker.ModuleSource(
+        path="<memory>", module="repro.apps.fixture", source=source,
+        tree=ast.parse(source))
+    full = taint_engine.TaintEngine(Project([module]), DEFAULT_CONFIG)
+    found = full.run()
+    assert full.fixpoint.converged
+    assert [(f.line, f.rule) for f in found["<memory>"]] == [
+        (3, taint_engine.RULE_PAGE)]
+
+    monkeypatch.setattr(taint_engine, "MAX_ROUNDS", 1)
+    cut = taint_engine.TaintEngine(Project([module]), DEFAULT_CONFIG)
+    assert cut.run() == found
+    assert not cut.fixpoint.converged
+
+
 def test_report_carries_each_fixpoint_and_warns_at_the_bound():
     report = walker.analyze_source("def f():\n    return 1\n", "m")
     fixpoints = report.callgraph["fixpoints"]

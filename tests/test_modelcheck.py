@@ -8,14 +8,16 @@ behaviour, and the witness-export path replayed through the real chaos
 campaign.
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 
 from repro.chaos.campaign import run_plan
 from repro.chaos.plan import FaultPlan
-from repro.errors import SgxError
+from repro.errors import PageFault, SgxError
 from repro.modelcheck import poolworld
 from repro.modelcheck.explorer import explore
 from repro.modelcheck.export import (
@@ -280,6 +282,36 @@ def _suspend_set_tail(trace):
     t0/r0's suspend set."""
     world = poolworld.replay("pool", trace)
     return world.service.kernel.backing.tainted.copy().pop()[1]
+
+
+class TestPageFaultCopies:
+    """The explorer deep-copies whole worlds, faults included."""
+
+    @staticmethod
+    def fields(fault):
+        return (fault.vaddr, fault.write, fault.exec_, fault.present,
+                fault.reason, fault.args)
+
+    FAULT = PageFault(0x7F3000, write=True, exec_=False, present=True,
+                      reason="epcm")
+
+    def test_deep_copy_keeps_every_field(self):
+        clone = copy.deepcopy(self.FAULT)
+        assert type(clone) is PageFault
+        assert self.fields(clone) == self.fields(self.FAULT)
+
+    def test_pickle_round_trip_keeps_every_field(self):
+        clone = pickle.loads(pickle.dumps(self.FAULT))
+        assert type(clone) is PageFault
+        assert self.fields(clone) == self.fields(self.FAULT)
+
+    def test_pool_world_deep_copies_after_a_tamper(self):
+        # The tampered replica's page fault stays in its SSA frame, so
+        # every successor of this world deep-copies it.
+        world = poolworld.replay("pool", ("req:0", "tamper", "req:0"))
+        clone = copy.deepcopy(world)
+        assert clone.state_key() == world.state_key()
+        assert clone.findings == world.findings
 
 
 class TestPoolWorld:
